@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -10,13 +10,17 @@ from .core import DomainError, ObservedGraph, SolverConfig, StepFunction
 from .gw import proximal_gw
 
 
+# Smallest graph the estimators accept; also the CLI's --nodes floor.
+MIN_NODES = 3
+
+
 def select_partition_count(sizes: Sequence[int]) -> int:
     """Barycenter partition count: floor(N_max / ln N_max), clamped to >= 2."""
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise DomainError("sizes must be nonempty")
-    if min(sizes) < 3:
-        raise DomainError("graph sizes must be at least 3")
+    if min(sizes) < MIN_NODES:
+        raise DomainError("graph sizes must be at least %d" % MIN_NODES)
     n_max = max(sizes)
     return max(int(np.floor(n_max / np.log(n_max))), 2)
 
@@ -31,10 +35,27 @@ def _interp_sorted_measure(measure, k):
     return np.interp(dst, src, desc)
 
 
-def estimate_barycenter_measure(graphs: Sequence[ObservedGraph], k) -> np.ndarray:
-    """Barycenter block measure: average of the graphs' sorted node measures,
-    each linearly interpolated onto a common k-point midpoint grid, then
-    renormalized. The result is strictly positive and nonincreasing.
+def _graph_weights(weights, m):
+    """Per-graph weights as floats; all ones when weights is None."""
+    if weights is None:
+        return np.ones(m)
+    weights = np.asarray(weights, dtype=float).ravel()
+    if weights.size != m:
+        raise DomainError("got %d weights for %d graphs" % (weights.size, m))
+    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+            and float(weights.sum()) > 0.0):
+        raise DomainError("weights must be finite and nonnegative with a positive sum")
+    return weights
+
+
+def estimate_barycenter_measure(graphs: Sequence[ObservedGraph], k,
+                                weights=None) -> np.ndarray:
+    """Barycenter block measure: weighted average of the graphs' sorted node
+    measures, each linearly interpolated onto a common k-point midpoint grid,
+    then renormalized. The result is strictly positive and nonincreasing.
+
+    :param weights: optional nonnegative per-graph weights with a positive
+        sum; the plain average when omitted.
     """
     graphs = list(graphs)
     if not graphs:
@@ -45,10 +66,11 @@ def estimate_barycenter_measure(graphs: Sequence[ObservedGraph], k) -> np.ndarra
     for g in graphs:
         if g.node_count < 2:
             raise DomainError("every graph needs at least 2 nodes")
+    weights = _graph_weights(weights, len(graphs))
     acc = np.zeros(k)
-    for g in graphs:
-        acc += _interp_sorted_measure(g.measure, k)
-    acc /= len(graphs)
+    for g, weight in zip(graphs, weights):
+        acc += weight * _interp_sorted_measure(g.measure, k)
+    acc /= weights.sum()
     return acc / acc.sum()
 
 
@@ -60,31 +82,36 @@ def _adjacency(graph):
     return graph.adjacency if isinstance(graph, ObservedGraph) else graph
 
 
-def _average_pushforward(graphs, plans):
-    """(1/M) sum of Tᵀ·A·T over the population."""
+def _average_pushforward(graphs, plans, weights=None):
+    """Weighted average Σ w·Tᵀ·A·T / Σ w over the population (w = 1 when
+    weights is None)."""
     graphs = list(graphs)
     plans = list(plans)
     if not graphs:
         raise DomainError("graphs must be nonempty")
     if len(graphs) != len(plans):
         raise DomainError("got %d graphs but %d plans" % (len(graphs), len(plans)))
+    weights = _graph_weights(weights, len(graphs))
     total = None
-    for g, p in zip(graphs, plans):
+    for g, p, weight in zip(graphs, plans, weights):
         t = _coupling(p)
-        piece = t.T @ (_adjacency(g) @ t)
+        piece = weight * (t.T @ (_adjacency(g) @ t))
         total = piece if total is None else total + piece
-    return total / len(graphs)
+    return total / weights.sum()
 
 
-def barycenter_update(graphs, plans, mu_w) -> np.ndarray:
+def barycenter_update(graphs, plans, mu_w, weights=None) -> np.ndarray:
     """Closed-form barycenter values for fixed plans: the averaged plan
     pushforward of the adjacencies, divided elementwise by mu_w·mu_wᵀ,
     then symmetrized and clamped to [0, 1].
+
+    :param weights: optional nonnegative per-graph weights with a positive
+        sum; the plain average when omitted.
     """
     mu_w = np.asarray(mu_w, dtype=float).ravel()
     if np.any(mu_w <= 0.0):
         raise DomainError("mu_w entries must be strictly positive")
-    b = _average_pushforward(graphs, plans)
+    b = _average_pushforward(graphs, plans, weights)
     w = b / np.outer(mu_w, mu_w)
     w = 0.5 * (w + w.T)
     return np.clip(w, 0.0, 1.0)
@@ -101,14 +128,8 @@ def _alternate(graphs, cfg, k, update: Callable) -> StepFunction:
     rng = np.random.default_rng(cfg.seed)
     start = rng.random((int(k), int(k)))
     values = 0.5 * (start + start.T)
-    plans: List[Optional[np.ndarray]] = [None] * len(graphs)
     for _ in range(cfg.outer_iters):
-        results = [
-            proximal_gw(g, (values, mu_w), cfg,
-                        init_plan=plans[i] if cfg.warm_start else None)
-            for i, g in enumerate(graphs)
-        ]
-        plans = [r.plan.coupling for r in results]
+        plans = [proximal_gw(g, (values, mu_w), cfg).plan.coupling for g in graphs]
         values = update(graphs, plans, mu_w)
     return StepFunction(values, mu_w)
 

@@ -14,12 +14,11 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
 
-from .barycenter import estimate_gwb
+from .barycenter import MIN_NODES, estimate_gwb
 from .core import GraphonError, ParseError, SolverConfig, ValidationError
 from .evaluation import (clustering_accuracy, gw_error, mse_error,
                          naive_average_estimate, scoring_config,
@@ -58,8 +57,9 @@ def _parse_nodes(text):
             n_min = n_max = int(text)
     except ValueError:
         raise UsageError("--nodes expects N or MIN:MAX, got %r" % text) from None
-    if n_min < 2 or n_max < n_min:
-        raise UsageError("--nodes must satisfy 2 <= MIN <= MAX")
+    if n_min < MIN_NODES or n_max < n_min:
+        raise UsageError("--nodes must satisfy %d <= MIN <= MAX (the estimators "
+                         "need graphs of at least %d nodes)" % (MIN_NODES, MIN_NODES))
     return n_min, n_max
 
 
@@ -304,8 +304,6 @@ def _cmd_benchmark(args) -> int:
         raise UsageError("--trials must be at least 1")
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     if args.resolution < 1:
         raise UsageError("--resolution must be at least 1")
     n_min, n_max = _parse_nodes(args.nodes)
@@ -313,24 +311,17 @@ def _cmd_benchmark(args) -> int:
              for family in families
              for method in methods
              for trial in range(args.trials)]
-
-    def run(cell):
-        family, method, trial = cell
+    rows = []
+    for family, method, trial in cells:
         try:
-            return _benchmark_cell(family, method, trial, args, n_min, n_max)
+            rows.append(_benchmark_cell(family, method, trial, args, n_min, n_max))
         except (GraphonError, OSError, FloatingPointError) as exc:
             print("cell family=%s method=%s trial=%d failed: %s"
                   % (family, method, trial, exc), file=sys.stderr)
-            return ResultRow(graphon_family=family, method=method, trial=trial,
-                             M=args.count, N_min=n_min, N_max=n_max,
-                             metric_name="error", value=float("nan"),
-                             runtime_seconds=0.0, seed=args.seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
+            rows.append(ResultRow(graphon_family=family, method=method, trial=trial,
+                                  M=args.count, N_min=n_min, N_max=n_max,
+                                  metric_name="error", value=float("nan"),
+                                  runtime_seconds=0.0, seed=args.seed))
     write_results_csv(rows, args.csv)
     for family in families:
         metric = "gw" if family in HARD_FAMILIES else "mse"
@@ -406,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", default="200")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="results CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel cells")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock runtimes (off by default so reruns "
                         "are byte-identical)")

@@ -247,8 +247,6 @@ class SolverConfig:
     :param inner_scalings: cap on Sinkhorn scaling pairs within one proximal step.
     :param marginal_tol: early-stop tolerance on the column-marginal residual
         of the scaling loop.
-    :param warm_start: reuse each graph's plan across outer rounds instead of
-        restarting from the product coupling.
     :param restarts: number of deterministic initializations tried per
         transport solve; the best objective wins.  1 keeps the plain
         product-coupling start.
@@ -263,7 +261,6 @@ class SolverConfig:
     seed: int = 0
     inner_scalings: int = 500
     marginal_tol: float = 1e-9
-    warm_start: bool = False
     restarts: int = 1
     polish_iters: int = 0
 

@@ -205,15 +205,15 @@ def _northwest_corner(mu_row, mu_col):
     return plan
 
 
-def _restart_anchors(mu_row, mu_col, restarts, seed, base):
-    """Initial plans for the proximal loop: the caller's base plan first,
-    then the mass-sorted monotone and antitone couplings (blended with the
-    product coupling so the kernel anchor keeps full support), then seeded
-    random anchors."""
-    anchors = [base]
+def _restart_anchors(mu_row, mu_col, restarts, seed):
+    """Initial plans for the proximal loop: the product coupling first, then
+    the mass-sorted monotone and antitone couplings (blended with the product
+    coupling so the kernel anchor keeps full support), then seeded random
+    anchors."""
+    product = np.outer(mu_row, mu_col)
+    anchors = [product]
     if restarts <= 1:
         return anchors
-    product = np.outer(mu_row, mu_col)
     order_r = np.argsort(-mu_row, kind="stable")
     for ascending in (False, True):
         if len(anchors) == restarts:
@@ -250,11 +250,10 @@ def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
     return plans
 
 
-def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None,
-                init_plan=None) -> GwResult:
+def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) -> GwResult:
     """Proximal-point solver for the squared 2-order GW distance.
 
-    Starting from the product coupling (or init_plan), each of the
+    Starting from the product coupling, each of the
     cfg.sinkhorn_iters proximal steps builds the kernel
     exp(-(cost)/beta) ⊙ T, rescales it onto the marginals, and rounds the
     result exactly feasible. The cost rows are shifted by their minimum in
@@ -279,18 +278,9 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None,
     if sp.issparse(mat_w):
         mat_w = mat_w.toarray()
     offset = gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
-    if init_plan is None:
-        base = np.outer(mu_a, mu_w)
-    else:
-        base = np.array(getattr(init_plan, "coupling", init_plan), dtype=float)
-        if base.shape != offset.shape:
-            raise DomainError("init_plan shape %s does not match (%d, %d)"
-                              % (base.shape, offset.shape[0], offset.shape[1]))
-        if float(base.min()) < 0.0:
-            raise DomainError("init_plan entries must be nonnegative")
     w_t = np.ascontiguousarray(mat_w.T)
     inv_beta = 1.0 / cfg.beta
-    plans = np.stack(_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed, base))
+    plans = np.stack(_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed))
     for _ in range(cfg.sinkhorn_iters):
         atp = np.stack([mat_a @ plan for plan in plans])
         cost = offset[None] - 2.0 * (atp @ w_t)
@@ -551,7 +541,7 @@ def gw_distance_exact_small(a, b, mu_a, mu_b):
     best = float(vert_vals.min())
 
     rng = np.random.default_rng(0)
-    anchors = np.stack(_restart_anchors(mu_a, mu_b, 3, 0, np.outer(mu_a, mu_b)))
+    anchors = np.stack(_restart_anchors(mu_a, mu_b, 3, 0))
     seeds = [anchors, verts, rng.random((33, n, m))]
     plans = _project_plans(np.concatenate(seeds, axis=0), mu_a, mu_b, 60)
     seen = set()

@@ -8,9 +8,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .barycenter import (
-    _adjacency,
     _coupling,
-    _interp_sorted_measure,
+    barycenter_update,
+    estimate_barycenter_measure,
     estimate_gwb,
     select_partition_count,
 )
@@ -59,24 +59,21 @@ def _derived_cfg(cfg: SolverConfig, tag: int, index: int) -> SolverConfig:
     return dataclasses.replace(cfg, seed=seed)
 
 
-def _weighted_measure(graphs, weights, k):
-    acc = np.zeros(k)
-    for graph, weight in zip(graphs, weights):
-        acc += weight * _interp_sorted_measure(graph.measure, k)
-    return acc / acc.sum()
-
-
 def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
                      cfg: Optional[SolverConfig] = None, rounds: int = 5,
                      assignment_beta: Optional[float] = None,
                      track_objective: bool = False) -> MixtureModel:
     """Fit c component step functions and a soft assignment to a graph population.
 
-    Alternates three stages per round: re-estimate each component as the
-    assignment-weighted barycenter of the population, recompute all pairwise
-    transport distances, then refresh the assignment as the entropic optimal
-    transport plan between uniform marginals over components and graphs.
-    Components start from a seeded round-robin sharding of the population.
+    Components start from a seeded round-robin sharding of the population,
+    and every (graph, component) pair is solved once against them. Each
+    round then re-estimates each component as the assignment-weighted
+    barycenter of the population from the plans it already holds, solves
+    every pair once against the new components, and refreshes the
+    assignment as the entropic optimal transport plan, between uniform
+    marginals over components and graphs, of those solves' distances. The
+    same solves give the plans of the next round's update, so a fit makes
+    (rounds + 1)·c·M transport solves.
 
     :param graphs: observed population, at least c graphs.
     :param c: number of components, >= 1.
@@ -118,40 +115,32 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     shuffle = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     order = shuffle.permutation(m)
-    comps_w: List[np.ndarray] = []
-    comps_mu: List[np.ndarray] = []
+    comps = []
     for ci in range(c):
         shard = [graphs[gi] for gi in order[ci::c]]
         seeded = estimate_gwb(shard, _derived_cfg(cfg, 3, ci), k=k)
-        comps_w.append(np.array(seeded.values))
-        comps_mu.append(np.array(seeded.measure))
+        comps.append((seeded.values, seeded.measure))
 
+    def solve_all():
+        return [[proximal_gw(g, comp, cfg) for g in graphs] for comp in comps]
+
+    solves = solve_all()
     p = np.full((c, m), 1.0 / (c * m))
     trace: List[float] = []
     for _ in range(rounds):
         for ci in range(c):
             wts = p[ci] / p[ci].sum()
-            mu_c = _weighted_measure(graphs, wts, k)
-            num = np.zeros((k, k))
-            for gi, graph in enumerate(graphs):
-                result = proximal_gw(graph, (comps_w[ci], comps_mu[ci]), cfg)
-                t = _coupling(result.plan)
-                num += wts[gi] * (t.T @ (_adjacency(graph) @ t))
-            w = num / np.outer(mu_c, mu_c)
-            w = 0.5 * (w + w.T)
-            comps_w[ci] = np.clip(w, 0.0, 1.0)
-            comps_mu[ci] = mu_c
-        dists = np.zeros((c, m))
-        for ci in range(c):
-            for gi, graph in enumerate(graphs):
-                dists[ci, gi] = proximal_gw(graph, (comps_w[ci], comps_mu[ci]),
-                                            cfg).distance_sq
+            mu_c = estimate_barycenter_measure(graphs, k, wts)
+            plans = [res.plan for res in solves[ci]]
+            comps[ci] = (barycenter_update(graphs, plans, mu_c, wts), mu_c)
+        solves = solve_all()
+        dists = np.array([[res.distance_sq for res in row] for row in solves])
         p = _coupling(entropic_ot(dists, np.full(c, 1.0 / c), np.full(m, 1.0 / m),
                                   p_beta))
         if track_objective:
             trace.append(float(np.sum(p * dists)))
 
-    components = tuple(StepFunction(comps_w[ci], comps_mu[ci]) for ci in range(c))
+    components = tuple(StepFunction(values, mu) for values, mu in comps)
     plan = TransportPlan(p, np.full(c, 1.0 / c), np.full(m, 1.0 / m))
     return MixtureModel(components, plan, tuple(trace) if track_objective else None)
 

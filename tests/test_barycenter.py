@@ -45,11 +45,39 @@ def test_barycenter_measure_averages_two_graphs():
     assert np.all(np.diff(mu) <= 1e-15)
 
 
+BAD_WEIGHTS = ([1.0], [1.0, -0.5], [0.0, 0.0])
+
+
 def test_barycenter_measure_validation(rng):
     with pytest.raises(DomainError):
         estimate_barycenter_measure([], 4)
     with pytest.raises(DomainError):
         estimate_barycenter_measure([random_graph(rng, 10)], 1)
+    pair = [random_graph(rng, 10), random_graph(rng, 12)]
+    for weights in BAD_WEIGHTS:
+        with pytest.raises(DomainError):
+            estimate_barycenter_measure(pair, 4, weights)
+
+
+def test_weights_generalize_the_plain_average(rng):
+    """All-ones weights reproduce the unweighted results bit for bit, and a
+    one-hot weight vector reproduces the result of its graph alone."""
+    graphs = [random_graph(rng, 6), random_graph(rng, 9), random_graph(rng, 7)]
+    mu_w = np.array([0.5, 0.3, 0.2])
+    plans = [np.outer(g.measure, mu_w) for g in graphs]
+    ones = np.ones(len(graphs))
+    np.testing.assert_array_equal(estimate_barycenter_measure(graphs, 3, ones),
+                                  estimate_barycenter_measure(graphs, 3))
+    np.testing.assert_array_equal(barycenter_update(graphs, plans, mu_w, ones),
+                                  barycenter_update(graphs, plans, mu_w))
+    for i in range(len(graphs)):
+        one_hot = np.eye(len(graphs))[i]
+        np.testing.assert_array_equal(
+            estimate_barycenter_measure(graphs, 3, one_hot),
+            estimate_barycenter_measure(graphs[i:i + 1], 3))
+        np.testing.assert_array_equal(
+            barycenter_update(graphs, plans, mu_w, one_hot),
+            barycenter_update(graphs[i:i + 1], plans[i:i + 1], mu_w))
 
 
 def test_update_recovers_adjacency_under_identity_plans(rng):
@@ -85,6 +113,9 @@ def test_update_validation(rng):
         barycenter_update([g, g], [plan], [0.5, 0.5])
     with pytest.raises(DomainError):
         barycenter_update([], [], [0.5, 0.5])
+    for weights in BAD_WEIGHTS:
+        with pytest.raises(DomainError):
+            barycenter_update([g, g], [plan, plan], [0.5, 0.5], weights)
 
 
 def test_estimate_is_deterministic_and_well_formed(rng):

@@ -194,6 +194,8 @@ def test_benchmark_uses_alignment_metric_on_hard_families(tmp_path, capsys):
      "--out", "ignored"],
     ["benchmark", "--families", "xy", "--methods", "magic", "--csv", "x.csv"],
     ["benchmark", "--families", "xy", "--trials", "0", "--csv", "x.csv"],
+    ["sample", "--graphon", "xy", "--count", "2", "--nodes", "2",
+     "--out", "ignored"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert main(argv) == 2

@@ -130,7 +130,6 @@ def test_solver_config_defaults():
     assert cfg.seed == 0
     assert cfg.inner_scalings == 500
     assert cfg.marginal_tol == 1e-9
-    assert cfg.warm_start is False
     assert cfg.restarts == 1
     assert cfg.polish_iters == 0
 

@@ -88,25 +88,6 @@ def test_restarts_and_polish_never_hurt(rng):
         assert strong <= plain + 1e-9
 
 
-def test_init_plan_validation(rng):
-    a, mu_a = random_space(rng, 3)
-    w, mu_w = random_space(rng, 3)
-    with pytest.raises(DomainError):
-        proximal_gw((a, mu_a), (w, mu_w), init_plan=np.full((2, 3), 0.1))
-    bad = np.outer(mu_a, mu_w)
-    bad[0, 0] = -bad[0, 0]
-    with pytest.raises(DomainError):
-        proximal_gw((a, mu_a), (w, mu_w), init_plan=bad)
-
-
-def test_init_plan_accepts_transport_plan(rng):
-    a, mu_a = random_space(rng, 3)
-    w, mu_w = random_space(rng, 3)
-    warm = TransportPlan(np.outer(mu_a, mu_w), mu_a, mu_w)
-    res = proximal_gw((a, mu_a), (w, mu_w), init_plan=warm)
-    assert res.distance_sq == proximal_gw((a, mu_a), (w, mu_w)).distance_sq
-
-
 def test_gw_result_rejects_bad_distance(rng):
     mu = np.array([0.5, 0.5])
     plan = TransportPlan(np.outer(mu, mu), mu, mu)

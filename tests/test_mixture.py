@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gwgraphon import mixture
 from gwgraphon.barycenter import estimate_gwb
 from gwgraphon.core import DomainError, SolverConfig, TransportPlan
 from gwgraphon.evaluation import clustering_accuracy
@@ -83,6 +84,25 @@ def test_objective_trace_length():
     assert all(np.isfinite(v) for v in model.objective_trace)
     untracked = estimate_mixture(graphs, 2, cfg, rounds=1)
     assert untracked.objective_trace is None
+
+
+def test_each_pair_is_solved_once_per_round(monkeypatch):
+    """One solve per (graph, component) against the seeded components, then
+    one per pair per round: the update reuses the previous solve's plans."""
+    graphs, _ = _two_family_population(2, seed=40)
+    cfg = SolverConfig(outer_iters=1, sinkhorn_iters=2)
+    calls = []
+    solve = mixture.proximal_gw
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "proximal_gw", counted)
+    for rounds in (1, 3):
+        calls.clear()
+        estimate_mixture(graphs, 2, cfg, rounds=rounds)
+        assert len(calls) == (rounds + 1) * 2 * len(graphs)
 
 
 def test_assign_clusters_picks_heaviest_component():
