@@ -244,9 +244,6 @@ class SolverConfig:
     :param sinkhorn_iters: proximal steps per transport solve.
     :param alpha: smoothness weight used by the smoothed estimator.
     :param seed: seed for every randomized initialization.
-    :param inner_scalings: cap on Sinkhorn scaling pairs within one proximal step.
-    :param marginal_tol: early-stop tolerance on the column-marginal residual
-        of the scaling loop.
     :param restarts: number of deterministic initializations tried per
         transport solve; the best objective wins.  1 keeps the plain
         product-coupling start.
@@ -259,8 +256,6 @@ class SolverConfig:
     sinkhorn_iters: int = 10
     alpha: float = 0.0002
     seed: int = 0
-    inner_scalings: int = 500
-    marginal_tol: float = 1e-9
     restarts: int = 1
     polish_iters: int = 0
 
@@ -269,12 +264,10 @@ class SolverConfig:
             raise ValidationError("beta must be positive")
         if self.alpha < 0.0:
             raise ValidationError("alpha must be nonnegative")
-        for name in ("outer_iters", "sinkhorn_iters", "inner_scalings", "restarts"):
+        for name in ("outer_iters", "sinkhorn_iters", "restarts"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError("%s must be a positive integer" % name)
         if int(self.polish_iters) < 0:
             raise ValidationError("polish_iters must be nonnegative")
-        if not self.marginal_tol > 0.0:
-            raise ValidationError("marginal_tol must be positive")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")

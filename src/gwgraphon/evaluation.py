@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DomainError, ObservedGraph, SolverConfig, StepFunction
 from .graphons import GraphonSpec, discretize_graphon
@@ -114,6 +113,9 @@ def clustering_accuracy(predicted, truth) -> float:
     :param truth: length-M label vector.
     :return: fraction of agreeing positions under the best pairing, in [0, 1].
     """
+    # imported here, its only user, so importing the package does not pay for it
+    from scipy.optimize import linear_sum_assignment
+
     predicted = np.asarray(predicted).ravel()
     truth = np.asarray(truth).ravel()
     if predicted.size != truth.size:

@@ -14,20 +14,6 @@ import scipy.sparse as sp
 
 from .core import (DomainError, ObservedGraph, ParseError, RangeError,
                    StepFunction, ValidationError)
-from .sampling import estimate_node_measure
-
-
-def _graph_from_pairs(count, pairs):
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        adj = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(count, count))
-        adj.sum_duplicates()
-        adj.data[:] = 1.0
-    else:
-        adj = sp.csr_array((count, count), dtype=float)
-    return ObservedGraph(adj, estimate_node_measure(adj))
 
 
 def read_edge_list(path) -> ObservedGraph:
@@ -72,7 +58,7 @@ def read_edge_list(path) -> ObservedGraph:
             pairs.append((u, v))
     if count is None:
         raise ParseError("missing header 'N <count>'", line=1)
-    return _graph_from_pairs(count, pairs)
+    return ObservedGraph.from_edges(count, pairs)
 
 
 def write_edge_list(graph: ObservedGraph, path):
@@ -167,7 +153,7 @@ def read_tu_dataset(directory) -> List[Tuple[ObservedGraph, int]]:
 
     out = []
     for g in range(graph_count):
-        out.append((_graph_from_pairs(int(sizes[g]), per_graph[g]), int(normalized[g])))
+        out.append((ObservedGraph.from_edges(int(sizes[g]), per_graph[g]), int(normalized[g])))
     return out
 
 

@@ -12,13 +12,14 @@ from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
                    StepFunction, TransportPlan, ValidationError)
 
 KERNEL_FLOOR = 1e-300
+# column-marginal residual at which the proximal steps and entropic_ot stop scaling
+SCALING_TOL = 1e-9
 
 SpaceLike = Union[ObservedGraph, StepFunction, Tuple]
 
@@ -93,37 +94,13 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     return left[:, None] + right[None, :]
 
 
-def _scale(kernel, mu_row, mu_col, max_iters, tol):
-    """Alternating Sinkhorn scalings of a positive kernel.
-
-    Returns the scaled plan and its column-marginal residual; row sums are
-    exact by construction because the row scaling runs last.
-    """
-    a = np.array(mu_row, dtype=float)
-    b = None
-    kernel_t = kernel.T
-    for _ in range(int(max_iters)):
-        ka = kernel_t @ a
-        if b is not None and float(np.abs(b * ka - mu_col).max()) <= tol:
-            break
-        b = mu_col / ka
-        a = mu_row / (kernel @ b)
-    if b is None:
-        b = mu_col / (kernel_t @ a)
-        a = mu_row / (kernel @ b)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
-    plan = (a[:, None] * kernel) * b[None, :]
-    resid = float(np.abs(plan.sum(axis=0) - mu_col).max())
-    return plan, resid
-
-
-def _scale_batch(kernels, mu_row, mu_col, max_iters, tol):
+def _scale(kernels, mu_row, mu_col, max_iters, tol):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
-    Row sums are exact because the row scaling runs last; stops once every
-    kernel's column residual is within tol, checking every few iterations
-    to keep the loop cheap.
+    Runs at most max_iters scaling pairs. Row sums are exact because the row
+    scaling runs last; stops once every kernel's column residual is within
+    tol, checking every few iterations to keep the loop cheap. A single
+    kernel is passed as kernel[None] and its plan read back as [0].
     """
     a = np.tile(mu_row, (kernels.shape[0], 1))
     b = None
@@ -163,8 +140,8 @@ def _round_feasible(plan, mu_row, mu_col):
 def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
     """Scale a strictly positive kernel onto the prescribed marginals.
 
-    Runs at most inner_iters scaling pairs, stopping early once the column
-    residual falls below 1e-12.
+    Runs at most inner_iters scaling pairs of the shared scaling loop,
+    stopping early once the column residual falls below 1e-12.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2:
@@ -182,7 +159,7 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
         raise DomainError("marginals must be strictly positive")
     if int(inner_iters) < 1:
         raise DomainError("inner_iters must be at least 1")
-    plan, _ = _scale(kernel, mu_row, mu_col, int(inner_iters), tol=1e-12)
+    plan = _scale(kernel[None], mu_row, mu_col, int(inner_iters), 1e-12)[0]
     return TransportPlan(plan, mu_row, mu_col)
 
 
@@ -209,11 +186,12 @@ def _restart_anchors(mu_row, mu_col, restarts, seed):
     """Initial plans for the proximal loop: the product coupling first, then
     the mass-sorted monotone and antitone couplings (blended with the product
     coupling so the kernel anchor keeps full support), then seeded random
-    anchors."""
+    anchors. Returns the anchors and the unblended sorted couplings, which
+    are exactly feasible."""
     product = np.outer(mu_row, mu_col)
-    anchors = [product]
+    anchors, raw = [product], []
     if restarts <= 1:
-        return anchors
+        return anchors, raw
     order_r = np.argsort(-mu_row, kind="stable")
     for ascending in (False, True):
         if len(anchors) == restarts:
@@ -222,11 +200,12 @@ def _restart_anchors(mu_row, mu_col, restarts, seed):
         nw = _northwest_corner(mu_row[order_r], mu_col[order_c])
         anchor = np.zeros_like(product)
         anchor[np.ix_(order_r, order_c)] = nw
+        raw.append(anchor)
         anchors.append(0.9 * anchor + 0.1 * product)
     rng = np.random.default_rng(seed)
     while len(anchors) < restarts:
         anchors.append(rng.random(product.shape) + 0.1)
-    return anchors
+    return anchors, raw
 
 
 def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
@@ -255,14 +234,17 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
 
     Starting from the product coupling, each of the
     cfg.sinkhorn_iters proximal steps builds the kernel
-    exp(-(cost)/beta) ⊙ T, rescales it onto the marginals, and rounds the
-    result exactly feasible. The cost rows are shifted by their minimum in
-    log space before exponentiation and the kernel is floored at 1e-300, so
-    beta as small as the default never overflows.
+    exp(-(cost)/beta) ⊙ T, rescales it onto the marginals (at most 500
+    scaling pairs, stopping at a column residual of SCALING_TOL), and rounds
+    the result exactly feasible. The cost rows are shifted by their minimum
+    in log space before exponentiation and the kernel is floored at 1e-300,
+    so beta as small as the default never overflows.
 
     With cfg.restarts > 1 the loop also runs from the mass-sorted monotone
     and antitone couplings and then seeded random anchors, and keeps the
-    best plan; with cfg.polish_iters > 0 every candidate is additionally
+    best plan; the unblended monotone and antitone couplings themselves
+    also compete, since any feasible coupling bounds the minimum from above.
+    With cfg.polish_iters > 0 every proximal candidate is additionally
     refined by projected gradient descent on the true (unregularized)
     objective, which removes the entropic bias of the fixed point, and
     competes against its unpolished form. Both default off, leaving the
@@ -280,7 +262,8 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     offset = gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
     w_t = np.ascontiguousarray(mat_w.T)
     inv_beta = 1.0 / cfg.beta
-    plans = np.stack(_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed))
+    anchors, raw = _restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed)
+    plans = np.stack(anchors)
     for _ in range(cfg.sinkhorn_iters):
         atp = np.stack([mat_a @ plan for plan in plans])
         cost = offset[None] - 2.0 * (atp @ w_t)
@@ -289,7 +272,7 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
         kernels = np.exp(logk)
         kernels *= plans
         np.maximum(kernels, KERNEL_FLOOR, out=kernels)
-        batch = _scale_batch(kernels, mu_a, mu_w, cfg.inner_scalings, cfg.marginal_tol)
+        batch = _scale(kernels, mu_a, mu_w, 500, SCALING_TOL)
         plans = np.stack([_round_feasible(p, mu_a, mu_w) for p in batch])
     if cfg.polish_iters > 0:
         dense_a = mat_a.toarray() if sp.issparse(mat_a) else mat_a
@@ -299,6 +282,8 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
         # rounding back onto the polytope can cost more than the descent
         # gained, so the unpolished candidates stay in the pool
         plans = np.concatenate([plans, np.stack(polished)])
+    if raw:
+        plans = np.concatenate([plans, np.stack(raw)])
     atp = np.stack([mat_a @ plan for plan in plans])
     vals = ((offset[None] - 2.0 * (atp @ w_t)) * plans).sum(axis=(1, 2))
     if not np.all(np.isfinite(vals)):
@@ -307,11 +292,12 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     return GwResult(TransportPlan(plans[pick], mu_a, mu_w), max(float(vals[pick]), 0.0))
 
 
-def entropic_ot(cost, mu_row, mu_col, beta, iters=10000) -> TransportPlan:
+def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     """Entropically regularized optimal transport: Sinkhorn on exp(-cost/beta).
 
-    Scales until the marginal residual drops below 1e-9 (capped at `iters`
-    pairs); raises NumericError if the 1e-6 feasibility contract cannot be met.
+    Scales until the column residual drops below SCALING_TOL (at most 10000
+    pairs), then rounds the plan exactly feasible; raises NumericError if the
+    scalings diverge.
     """
     if float(beta) <= 0.0:
         raise DomainError("beta must be positive")
@@ -327,13 +313,11 @@ def entropic_ot(cost, mu_row, mu_col, beta, iters=10000) -> TransportPlan:
                           % (cost.shape, mu_row.size, mu_col.size))
     if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
         raise DomainError("marginals must be strictly positive")
-    if int(iters) < 1:
-        raise DomainError("iters must be at least 1")
     logk = cost * (-1.0 / float(beta))
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan, _ = _scale(kernel, mu_row, mu_col, int(iters), tol=1e-9)
+    plan = _scale(kernel[None], mu_row, mu_col, 10000, SCALING_TOL)[0]
     plan = _round_feasible(plan, mu_row, mu_col)
     return TransportPlan(plan, mu_row, mu_col)
 
@@ -446,6 +430,9 @@ def _face_minimum(plan, a, b, mu_a, mu_b, offset, support_tol):
     the vanishing entry leaves the support and the solve repeats. This
     finishes the tail that projected gradient descent only crawls along.
     """
+    # imported here, its only user, so importing the package does not pay for it
+    import scipy.linalg
+
     n, m = plan.shape
     nm = n * m
     kron = np.kron(a, b)
@@ -541,7 +528,7 @@ def gw_distance_exact_small(a, b, mu_a, mu_b):
     best = float(vert_vals.min())
 
     rng = np.random.default_rng(0)
-    anchors = np.stack(_restart_anchors(mu_a, mu_b, 3, 0))
+    anchors = np.stack(_restart_anchors(mu_a, mu_b, 3, 0)[0])
     seeds = [anchors, verts, rng.random((33, n, m))]
     plans = _project_plans(np.concatenate(seeds, axis=0), mu_a, mu_b, 60)
     seen = set()

@@ -61,7 +61,6 @@ def _derived_cfg(cfg: SolverConfig, tag: int, index: int) -> SolverConfig:
 
 def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
                      cfg: Optional[SolverConfig] = None, rounds: int = 5,
-                     assignment_beta: Optional[float] = None,
                      track_objective: bool = False) -> MixtureModel:
     """Fit c component step functions and a soft assignment to a graph population.
 
@@ -70,17 +69,15 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     round then re-estimates each component as the assignment-weighted
     barycenter of the population from the plans it already holds, solves
     every pair once against the new components, and refreshes the
-    assignment as the entropic optimal transport plan, between uniform
-    marginals over components and graphs, of those solves' distances. The
-    same solves give the plans of the next round's update, so a fit makes
-    (rounds + 1)·c·M transport solves.
+    assignment as the entropic optimal transport plan, at entropic weight
+    cfg.beta and between uniform marginals over components and graphs, of
+    those solves' distances. The same solves give the plans of the next
+    round's update, so a fit makes (rounds + 1)·c·M transport solves.
 
     :param graphs: observed population, at least c graphs.
     :param c: number of components, >= 1.
     :param cfg: solver configuration; defaults apply when omitted.
     :param rounds: alternation rounds, >= 1.
-    :param assignment_beta: entropic weight for the assignment update;
-        defaults to cfg.beta.
     :param track_objective: record the transport objective after each round.
     :return: fitted MixtureModel.
     """
@@ -97,9 +94,6 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         raise DomainError("cannot fit more components than graphs")
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
-    p_beta = cfg.beta if assignment_beta is None else float(assignment_beta)
-    if p_beta <= 0.0:
-        raise DomainError("assignment beta must be positive")
 
     if c == 1:
         component = estimate_gwb(graphs, cfg)
@@ -136,7 +130,7 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         solves = solve_all()
         dists = np.array([[res.distance_sq for res in row] for row in solves])
         p = _coupling(entropic_ot(dists, np.full(c, 1.0 / c), np.full(m, 1.0 / m),
-                                  p_beta))
+                                  cfg.beta))
         if track_objective:
             trace.append(float(np.sum(p * dists)))
 

@@ -128,8 +128,6 @@ def test_solver_config_defaults():
     assert cfg.sinkhorn_iters == 10
     assert cfg.alpha == 0.0002
     assert cfg.seed == 0
-    assert cfg.inner_scalings == 500
-    assert cfg.marginal_tol == 1e-9
     assert cfg.restarts == 1
     assert cfg.polish_iters == 0
 
@@ -140,10 +138,10 @@ def test_solver_config_defaults():
     dict(alpha=-0.1),
     dict(outer_iters=0),
     dict(sinkhorn_iters=0),
-    dict(inner_scalings=0),
+    dict(beta=float("nan")),
     dict(restarts=0),
     dict(polish_iters=-1),
-    dict(marginal_tol=0.0),
+    dict(seed=2 ** 64),
     dict(seed=-1),
 ])
 def test_solver_config_validation(kwargs):

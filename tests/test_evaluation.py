@@ -68,6 +68,18 @@ def test_gw_error_resolution_tradeoff():
     assert abs(coarse - fine) <= 0.01
 
 
+@pytest.mark.parametrize("family", ["exp07", "abs_diff"])
+def test_gw_error_never_exceeds_the_aligned_block_coupling(family):
+    """A 10-block average of the truth at resolution 100: mapping each pixel
+    to its own block is a feasible coupling whose objective is the pixel
+    MSE, so the reported distance may not exceed its square root."""
+    grid = discretize_graphon(GraphonSpec(family), 100)
+    values = grid.reshape(10, 10, 10, 10).mean(axis=(1, 3))
+    w = StepFunction(0.5 * (values + values.T), np.full(10, 0.1))
+    aligned = np.sqrt(np.mean((grid - upsample_step_function(w, 100)) ** 2))
+    assert gw_error(w, GraphonSpec(family), resolution=100) <= aligned * (1 + 1e-9)
+
+
 def test_usvt_recovers_constant_density():
     graphs = sample_population(GraphonSpec.from_grid(np.array([[0.35]])), 20,
                                [200, 200], seed=13)

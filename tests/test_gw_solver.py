@@ -188,5 +188,3 @@ def test_entropic_ot_validation(rng):
         entropic_ot(rng.random((2, 3)), mu, mu, beta=0.1)
     with pytest.raises(DomainError):
         entropic_ot(cost, np.array([0.5, 0.5, 0.0]), mu, beta=0.1)
-    with pytest.raises(DomainError):
-        entropic_ot(cost, mu, mu, beta=0.1, iters=0)

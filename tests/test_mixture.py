@@ -51,8 +51,6 @@ def test_estimate_mixture_validation():
         estimate_mixture([], 1)
     with pytest.raises(DomainError):
         estimate_mixture(graphs, 2, rounds=0)
-    with pytest.raises(DomainError):
-        estimate_mixture(graphs, 2, assignment_beta=0.0)
 
 
 def test_assignment_marginals_are_uniform():
