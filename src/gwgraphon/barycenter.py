@@ -7,10 +7,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import DomainError, ObservedGraph, SolverConfig, StepFunction
-from .gw import proximal_gw
+from .gw import proximal_gw_batch
 
 
-# Smallest graph the estimators accept; also the CLI's --nodes floor.
+# Smallest graph the estimators and sample_graph accept; also the CLI's --nodes floor.
 MIN_NODES = 3
 
 
@@ -64,8 +64,8 @@ def estimate_barycenter_measure(graphs: Sequence[ObservedGraph], k,
     if k < 2:
         raise DomainError("k must be at least 2")
     for g in graphs:
-        if g.node_count < 2:
-            raise DomainError("every graph needs at least 2 nodes")
+        if g.node_count < MIN_NODES:
+            raise DomainError("every graph needs at least %d nodes" % MIN_NODES)
     weights = _graph_weights(weights, len(graphs))
     acc = np.zeros(k)
     for g, weight in zip(graphs, weights):
@@ -118,7 +118,8 @@ def barycenter_update(graphs, plans, mu_w, weights=None) -> np.ndarray:
 
 
 def _alternate(graphs, cfg, k, update: Callable) -> StepFunction:
-    """Shared alternating loop: per-graph transport solves, then an update."""
+    """Shared alternating loop: each round solves every graph against the
+    current values in one batched transport solve, then applies the update."""
     graphs = list(graphs)
     if not graphs:
         raise DomainError("need at least one graph")
@@ -129,7 +130,7 @@ def _alternate(graphs, cfg, k, update: Callable) -> StepFunction:
     start = rng.random((int(k), int(k)))
     values = 0.5 * (start + start.T)
     for _ in range(cfg.outer_iters):
-        plans = [proximal_gw(g, (values, mu_w), cfg).plan.coupling for g in graphs]
+        plans = [res.plan.coupling for res in proximal_gw_batch(graphs, (values, mu_w), cfg)]
         values = update(graphs, plans, mu_w)
     return StepFunction(values, mu_w)
 
@@ -141,8 +142,9 @@ def estimate_gwb(graphs: Sequence[ObservedGraph], cfg: Optional[SolverConfig] = 
     The partition count defaults to select_partition_count over the graph
     sizes; the block measure is estimated once up front and held fixed. The
     values start as symmetrized uniform noise drawn from cfg.seed, and each
-    of the cfg.outer_iters rounds alternates per-graph proximal transport
-    solves with the closed-form update. Deterministic given the seed.
+    of the cfg.outer_iters rounds alternates one batched proximal transport
+    solve of every graph with the closed-form update. Deterministic given
+    the seed.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -27,7 +27,7 @@ from .fileio import (ResultRow, append_result_row, read_edge_list,
                      read_step_function, read_tu_dataset, write_edge_list,
                      write_heatmap, write_results_csv, write_step_function)
 from .graphons import FAMILY_NAMES, HARD_FAMILIES, GraphonSpec
-from .gw import proximal_gw
+from .gw import proximal_gw_batch
 from .mixture import assign_clusters, estimate_mixture
 from .sampling import derive_graph_seed, sample_population
 from .smoothed import SmoothedSolveMode, estimate_sgwb
@@ -163,8 +163,8 @@ def _cmd_estimate(args) -> int:
     started = time.perf_counter()
     estimate = _fit_estimate(graphs, args.method, cfg, k, mode)
     runtime = time.perf_counter() - started
-    objective = float(np.mean([proximal_gw(g, estimate, cfg).distance_sq
-                               for g in graphs]))
+    objective = float(np.mean([res.distance_sq
+                               for res in proximal_gw_batch(graphs, estimate, cfg)]))
     write_step_function(estimate, args.out)
     if args.heatmap is not None:
         side = max(estimate.partition_count, MIN_HEATMAP_SIDE)

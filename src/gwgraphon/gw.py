@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,29 +94,50 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     return left[:, None] + right[None, :]
 
 
-def _scale(kernels, mu_row, mu_col, max_iters, tol):
+def _scale(kernels, mu_rows, mu_col, max_iters, tol, groups=1):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
-    Runs at most max_iters scaling pairs. Row sums are exact because the row
-    scaling runs last; stops once every kernel's column residual is within
-    tol, checking every few iterations to keep the loop cheap. A single
-    kernel is passed as kernel[None] and its plan read back as [0].
+    kernels has shape (S, N, K) and mu_rows (S, N), one row marginal per
+    kernel; a row of marginal 0 gets scaling 0 and carries no mass. Runs
+    at most max_iters scaling pairs. Row sums are exact because the row
+    scaling runs last. Every 4th pair the column residuals are checked:
+    the stack is split into `groups` equal runs of consecutive kernels,
+    and a group whose residuals are all within tol is stored and dropped
+    from the scaling, so it stops at the same pair as it would alone. A
+    single kernel is passed as kernel[None] and its plan read back as [0].
     """
-    a = np.tile(mu_row, (kernels.shape[0], 1))
+    size = kernels.shape[0] // groups
+    plans = np.empty_like(kernels) if groups > 1 else None
+    live = np.arange(kernels.shape[0])
+    a = np.array(mu_rows, dtype=float)
     b = None
     kernels_t = kernels.transpose(0, 2, 1)
     for it in range(int(max_iters)):
         ka = (kernels_t @ a[:, :, None])[..., 0]
-        if b is not None and it % 4 == 0 and float(np.abs(b * ka - mu_col).max()) <= tol:
-            break
+        if b is not None and it % 4 == 0:
+            res = np.abs(b * ka - mu_col)
+            if float(res.max()) <= tol:
+                break
+            if plans is not None:
+                done = np.repeat(res.reshape(-1, size * mu_col.size).max(axis=1) <= tol, size)
+                if done.any():
+                    plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                    keep = ~done
+                    live, kernels, mu_rows = live[keep], kernels[keep], mu_rows[keep]
+                    a, b, ka = a[keep], b[keep], ka[keep]
+                    kernels_t = kernels.transpose(0, 2, 1)
         b = mu_col / ka
-        a = mu_row / ((kernels @ b[:, :, None])[..., 0])
+        a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
     if b is None:
         b = mu_col / ((kernels_t @ a[:, :, None])[..., 0])
-        a = mu_row / ((kernels @ b[:, :, None])[..., 0])
+        a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
-    return (a[:, :, None] * kernels) * b[:, None, :]
+    final = (a[:, :, None] * kernels) * b[:, None, :]
+    if plans is None:
+        return final
+    plans[live] = final
+    return plans
 
 
 def _round_feasible(plan, mu_row, mu_col):
@@ -159,7 +180,7 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
         raise DomainError("marginals must be strictly positive")
     if int(inner_iters) < 1:
         raise DomainError("inner_iters must be at least 1")
-    plan = _scale(kernel[None], mu_row, mu_col, int(inner_iters), 1e-12)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col, int(inner_iters), 1e-12)[0]
     return TransportPlan(plan, mu_row, mu_col)
 
 
@@ -232,13 +253,13 @@ def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
 def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) -> GwResult:
     """Proximal-point solver for the squared 2-order GW distance.
 
-    Starting from the product coupling, each of the
-    cfg.sinkhorn_iters proximal steps builds the kernel
-    exp(-(cost)/beta) ⊙ T, rescales it onto the marginals (at most 500
-    scaling pairs, stopping at a column residual of SCALING_TOL), and rounds
-    the result exactly feasible. The cost rows are shifted by their minimum
-    in log space before exponentiation and the kernel is floored at 1e-300,
-    so beta as small as the default never overflows.
+    The batch of one: proximal_gw_batch([a], w, cfg)[0]. Starting from the
+    product coupling, each of the cfg.sinkhorn_iters proximal steps builds
+    the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals (at
+    most 500 scaling pairs, stopping at a column residual of SCALING_TOL),
+    and rounds the result exactly feasible. The cost rows are shifted by
+    their minimum in log space before exponentiation and the kernel is
+    floored at 1e-300, so beta as small as the default never overflows.
 
     With cfg.restarts > 1 the loop also runs from the mass-sorted monotone
     and antitone couplings and then seeded random anchors, and keeps the
@@ -253,30 +274,66 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     Returns the final plan together with the quadratic objective
     <offset - 2·a·T·wᵀ, T> evaluated at it, floored at zero.
     """
+    return proximal_gw_batch([a], w, cfg)[0]
+
+
+def proximal_gw_batch(spaces: Sequence[SpaceLike], w: SpaceLike,
+                      cfg: Optional[SolverConfig] = None) -> List[GwResult]:
+    """proximal_gw of every space against one target w, in one solve.
+
+    Each proximal step scales the kernels of every (space, restart) pair as
+    one stack, padded to the largest space's node count. Padded rows have
+    kernel value 1 and row marginal 0, so their scaling is exactly 0 and
+    they carry no mass. A space's restarts leave the stack at the check
+    where they would stop scaling alone, so equal-size spaces get results
+    bit-identical to one-at-a-time solves; with mixed sizes the padded
+    products are summed in another order, which the proximal steps may
+    amplify. Cost build, rounding, polishing and the choice of the best
+    candidate run per space on its own rows.
+    """
     if cfg is None:
         cfg = SolverConfig()
-    mat_a, mu_a = _as_space(a)
+    sides = [_as_space(space) for space in spaces]
+    if not sides:
+        raise DomainError("need at least one space to solve")
     mat_w, mu_w = _as_space(w)
     if sp.issparse(mat_w):
         mat_w = mat_w.toarray()
-    offset = gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
     w_t = np.ascontiguousarray(mat_w.T)
     inv_beta = 1.0 / cfg.beta
-    anchors, raw = _restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed)
-    plans = np.stack(anchors)
+    offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w) for mat_a, mu_a in sides]
+    starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed) for _, mu_a in sides]
+    plans = [np.stack(anchors) for anchors, _ in starts]
+    runs = plans[0].shape[0]
+    n_max = max(mu_a.size for _, mu_a in sides)
+    kernels = np.ones((len(sides), runs, n_max, mu_w.size))
+    mu_rows = np.zeros((len(sides), runs, n_max))
+    for g, (_, mu_a) in enumerate(sides):
+        mu_rows[g, :, :mu_a.size] = mu_a
+    mu_rows = mu_rows.reshape(-1, n_max)
     for _ in range(cfg.sinkhorn_iters):
-        atp = np.stack([mat_a @ plan for plan in plans])
-        cost = offset[None] - 2.0 * (atp @ w_t)
-        logk = (-inv_beta) * cost
-        logk -= logk.max(axis=2, keepdims=True)
-        kernels = np.exp(logk)
-        kernels *= plans
-        np.maximum(kernels, KERNEL_FLOOR, out=kernels)
-        batch = _scale(kernels, mu_a, mu_w, 500, SCALING_TOL)
-        plans = np.stack([_round_feasible(p, mu_a, mu_w) for p in batch])
-    if cfg.polish_iters > 0:
+        for g, ((mat_a, _), offset, p) in enumerate(zip(sides, offsets, plans)):
+            atp = np.stack([mat_a @ plan for plan in p])
+            logk = (-inv_beta) * (offset[None] - 2.0 * (atp @ w_t))
+            logk -= logk.max(axis=2, keepdims=True)
+            kernel = np.exp(logk)
+            kernel *= p
+            np.maximum(kernel, KERNEL_FLOOR, out=kernel)
+            kernels[g, :, :kernel.shape[1]] = kernel
+        batch = _scale(kernels.reshape(-1, n_max, mu_w.size), mu_rows, mu_w, 500,
+                       SCALING_TOL, groups=len(sides)).reshape(kernels.shape)
+        plans = [np.stack([_round_feasible(q[:mu_a.size], mu_a, mu_w) for q in runs_g])
+                 for (_, mu_a), runs_g in zip(sides, batch)]
+    return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, p, raw, cfg.polish_iters)
+            for (mat_a, mu_a), offset, p, (_, raw) in zip(sides, offsets, plans, starts)]
+
+
+def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_iters):
+    """The lowest-objective plan among the proximal candidates, their
+    polished forms and the raw anchors, as a GwResult."""
+    if polish_iters > 0:
         dense_a = mat_a.toarray() if sp.issparse(mat_a) else mat_a
-        batch = _descend_plans(plans, dense_a, mat_w, mu_a, mu_w, cfg.polish_iters)
+        batch = _descend_plans(plans, dense_a, mat_w, mu_a, mu_w, polish_iters)
         batch = np.maximum(batch, 0.0)
         polished = [_round_feasible(p, mu_a, mu_w) for p in batch]
         # rounding back onto the polytope can cost more than the descent
@@ -317,7 +374,7 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan = _scale(kernel[None], mu_row, mu_col, 10000, SCALING_TOL)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col, 10000, SCALING_TOL)[0]
     plan = _round_feasible(plan, mu_row, mu_col)
     return TransportPlan(plan, mu_row, mu_col)
 

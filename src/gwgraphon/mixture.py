@@ -15,7 +15,7 @@ from .barycenter import (
     select_partition_count,
 )
 from .core import DomainError, ObservedGraph, SolverConfig, StepFunction, TransportPlan
-from .gw import entropic_ot, proximal_gw
+from .gw import entropic_ot, proximal_gw_batch
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -65,10 +65,11 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     """Fit c component step functions and a soft assignment to a graph population.
 
     Components start from a seeded round-robin sharding of the population,
-    and every (graph, component) pair is solved once against them. Each
-    round then re-estimates each component as the assignment-weighted
-    barycenter of the population from the plans it already holds, solves
-    every pair once against the new components, and refreshes the
+    and every (graph, component) pair is solved once against them, in one
+    batched transport solve per component. Each round then re-estimates
+    each component as the assignment-weighted barycenter of the population
+    from the plans it already holds, solves every pair once against the
+    new components, again one batch per component, and refreshes the
     assignment as the entropic optimal transport plan, at entropic weight
     cfg.beta and between uniform marginals over components and graphs, of
     those solves' distances. The same solves give the plans of the next
@@ -101,7 +102,8 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         plan = TransportPlan(coupling, np.array([1.0]), np.full(m, 1.0 / m))
         trace = None
         if track_objective:
-            dists = np.array([[proximal_gw(g, component, cfg).distance_sq for g in graphs]])
+            dists = np.array([[res.distance_sq
+                               for res in proximal_gw_batch(graphs, component, cfg)]])
             trace = (float(np.sum(coupling * dists)),)
         return MixtureModel((component,), plan, trace)
 
@@ -116,7 +118,7 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         comps.append((seeded.values, seeded.measure))
 
     def solve_all():
-        return [[proximal_gw(g, comp, cfg) for g in graphs] for comp in comps]
+        return [proximal_gw_batch(graphs, comp, cfg) for comp in comps]
 
     solves = solve_all()
     p = np.full((c, m), 1.0 / (c * m))

@@ -7,6 +7,7 @@ from typing import List, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .barycenter import MIN_NODES
 from .core import DomainError, ObservedGraph, _degree_measure
 from .graphons import GraphonSpec, _evaluate_array
 
@@ -51,8 +52,8 @@ def sample_graph(spec: GraphonSpec, n, seed) -> ObservedGraph:
     triangle. Identical (spec, n, seed) inputs give bit-identical graphs.
     """
     n = int(n)
-    if n < 2:
-        raise DomainError("need at least 2 nodes, got %d" % n)
+    if n < MIN_NODES:
+        raise DomainError("need at least %d nodes, got %d" % (MIN_NODES, n))
     rng = np.random.default_rng(int(seed))
     positions = rng.random(n)
     iu, ju = np.triu_indices(n, k=1)
@@ -75,8 +76,9 @@ def sample_population(spec: GraphonSpec, count, size_range: Sequence[int], seed)
     if count < 1:
         raise DomainError("count must be at least 1")
     n_min, n_max = (int(size_range[0]), int(size_range[1]))
-    if n_min < 2 or n_max < n_min:
-        raise DomainError("size range must satisfy 2 <= n_min <= n_max, got [%d, %d]" % (n_min, n_max))
+    if n_min < MIN_NODES or n_max < n_min:
+        raise DomainError("size range must satisfy %d <= n_min <= n_max, got [%d, %d]"
+                          % (MIN_NODES, n_min, n_max))
     size_rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
     sizes = size_rng.integers(n_min, n_max + 1, size=count)
     return [sample_graph(spec, int(sz), derive_graph_seed(seed, i)) for i, sz in enumerate(sizes)]

@@ -53,6 +53,8 @@ def test_barycenter_measure_validation(rng):
         estimate_barycenter_measure([], 4)
     with pytest.raises(DomainError):
         estimate_barycenter_measure([random_graph(rng, 10)], 1)
+    with pytest.raises(DomainError):
+        estimate_barycenter_measure([random_graph(rng, 10), random_graph(rng, 2)], 4)
     pair = [random_graph(rng, 10), random_graph(rng, 12)]
     for weights in BAD_WEIGHTS:
         with pytest.raises(DomainError):

@@ -86,17 +86,19 @@ def test_objective_trace_length():
 
 def test_each_pair_is_solved_once_per_round(monkeypatch):
     """One solve per (graph, component) against the seeded components, then
-    one per pair per round: the update reuses the previous solve's plans."""
+    one per pair per round: the update reuses the previous solve's plans.
+    Counts the pairs handed to the batched solver."""
     graphs, _ = _two_family_population(2, seed=40)
     cfg = SolverConfig(outer_iters=1, sinkhorn_iters=2)
     calls = []
-    solve = mixture.proximal_gw
+    solve = mixture.proximal_gw_batch
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(spaces, *args, **kwargs):
+        spaces = list(spaces)
+        calls.extend([1] * len(spaces))
+        return solve(spaces, *args, **kwargs)
 
-    monkeypatch.setattr(mixture, "proximal_gw", counted)
+    monkeypatch.setattr(mixture, "proximal_gw_batch", counted)
     for rounds in (1, 3):
         calls.clear()
         estimate_mixture(graphs, 2, cfg, rounds=rounds)

@@ -34,8 +34,9 @@ def test_sample_graph_extreme_probabilities():
 
 
 def test_sample_graph_needs_two_nodes():
-    with pytest.raises(DomainError):
-        sample_graph(GraphonSpec("xy"), 1, seed=0)
+    for n in (1, 2):
+        with pytest.raises(DomainError):
+            sample_graph(GraphonSpec("xy"), n, seed=0)
 
 
 def test_edge_density_concentrates():
@@ -101,5 +102,7 @@ def test_sample_population_validation():
         sample_population(spec, 0, [10, 20], seed=0)
     with pytest.raises(DomainError):
         sample_population(spec, 3, [1, 20], seed=0)
+    with pytest.raises(DomainError):
+        sample_population(spec, 3, [2, 20], seed=0)
     with pytest.raises(DomainError):
         sample_population(spec, 3, [20, 10], seed=0)
