@@ -18,8 +18,7 @@ from .graphons import (EASY_FAMILIES, FAMILY_NAMES, GRID_FAMILY,
                        HARD_FAMILIES, GraphonSpec, discretize_graphon,
                        evaluate_graphon)
 from .gw import (GwResult, entropic_ot, gw_cost_offset,
-                 gw_distance_exact_small, proximal_gw, proximal_gw_batch,
-                 sinkhorn_projection)
+                 gw_distance_exact_small, proximal_gw, sinkhorn_projection)
 from .mixture import MixtureModel, assign_clusters, estimate_mixture
 from .sampling import (derive_graph_seed, estimate_node_measure, sample_graph,
                        sample_population)
@@ -69,7 +68,6 @@ __all__ = [
     "mse_error",
     "naive_average_estimate",
     "proximal_gw",
-    "proximal_gw_batch",
     "read_edge_list",
     "read_step_function",
     "read_tu_dataset",

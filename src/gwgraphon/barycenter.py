@@ -6,12 +6,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, ObservedGraph, SolverConfig, StepFunction
+from .core import MIN_NODES, DomainError, ObservedGraph, SolverConfig, StepFunction
 from .gw import proximal_gw_batch
-
-
-# Smallest graph the estimators and sample_graph accept; also the CLI's --nodes floor.
-MIN_NODES = 3
 
 
 def select_partition_count(sizes: Sequence[int]) -> int:

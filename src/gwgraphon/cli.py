@@ -18,8 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .barycenter import MIN_NODES, estimate_gwb
-from .core import GraphonError, ParseError, SolverConfig, ValidationError
+from .barycenter import estimate_gwb
+from .core import MIN_NODES, GraphonError, ParseError, SolverConfig, ValidationError
 from .evaluation import (clustering_accuracy, gw_error, mse_error,
                          naive_average_estimate, scoring_config,
                          upsample_step_function, usvt_estimate)

@@ -11,6 +11,8 @@ SYMMETRY_TOL = 1e-12
 MEASURE_SUM_TOL = 1e-12
 PLAN_MARGINAL_TOL = 1e-6
 DEGREE_FLOOR = 1e-8
+# Smallest graph that sampling, the estimators and the CLI accept.
+MIN_NODES = 3
 
 
 class GraphonError(Exception):

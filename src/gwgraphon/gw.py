@@ -98,13 +98,13 @@ def _scale(kernels, mu_rows, mu_col, max_iters, tol, groups=1):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
     kernels has shape (S, N, K) and mu_rows (S, N), one row marginal per
-    kernel; a row of marginal 0 gets scaling 0 and carries no mass. Runs
-    at most max_iters scaling pairs. Row sums are exact because the row
-    scaling runs last. Every 4th pair the column residuals are checked:
-    the stack is split into `groups` equal runs of consecutive kernels,
-    and a group whose residuals are all within tol is stored and dropped
-    from the scaling, so it stops at the same pair as it would alone. A
-    single kernel is passed as kernel[None] and its plan read back as [0].
+    kernel. Runs at most max_iters scaling pairs. Row sums are exact
+    because the row scaling runs last. Every 4th pair the column
+    residuals are checked: the stack is split into `groups` equal runs of
+    consecutive kernels, and a group whose residuals are all within tol is
+    stored and dropped from the scaling, so it stops at the same pair as
+    it would alone. A single kernel is passed as kernel[None] and its plan
+    read back as [0].
     """
     size = kernels.shape[0] // groups
     plans = np.empty_like(kernels) if groups > 1 else None
@@ -281,15 +281,13 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], w: SpaceLike,
                       cfg: Optional[SolverConfig] = None) -> List[GwResult]:
     """proximal_gw of every space against one target w, in one solve.
 
-    Each proximal step scales the kernels of every (space, restart) pair as
-    one stack, padded to the largest space's node count. Padded rows have
-    kernel value 1 and row marginal 0, so their scaling is exactly 0 and
-    they carry no mass. A space's restarts leave the stack at the check
-    where they would stop scaling alone, so equal-size spaces get results
-    bit-identical to one-at-a-time solves; with mixed sizes the padded
-    products are summed in another order, which the proximal steps may
-    amplify. Cost build, rounding, polishing and the choice of the best
-    candidate run per space on its own rows.
+    Spaces of equal node count share one stack of (space, restart) kernels
+    in each proximal step, so nothing is padded: the scaling costs what the
+    solves need, and each space's restarts leave the stack at the check
+    where they would stop scaling alone. Every result is therefore
+    bit-identical to proximal_gw of that space alone, whatever else is in
+    the batch. Cost build, rounding, polishing and the choice of the best
+    candidate run per space.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -305,25 +303,25 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], w: SpaceLike,
     starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed) for _, mu_a in sides]
     plans = [np.stack(anchors) for anchors, _ in starts]
     runs = plans[0].shape[0]
-    n_max = max(mu_a.size for _, mu_a in sides)
-    kernels = np.ones((len(sides), runs, n_max, mu_w.size))
-    mu_rows = np.zeros((len(sides), runs, n_max))
+    by_size = {}
     for g, (_, mu_a) in enumerate(sides):
-        mu_rows[g, :, :mu_a.size] = mu_a
-    mu_rows = mu_rows.reshape(-1, n_max)
+        by_size.setdefault(mu_a.size, []).append(g)
+    classes = [(members, np.repeat(np.stack([sides[g][1] for g in members]), runs, axis=0))
+               for members in by_size.values()]
     for _ in range(cfg.sinkhorn_iters):
-        for g, ((mat_a, _), offset, p) in enumerate(zip(sides, offsets, plans)):
-            atp = np.stack([mat_a @ plan for plan in p])
-            logk = (-inv_beta) * (offset[None] - 2.0 * (atp @ w_t))
-            logk -= logk.max(axis=2, keepdims=True)
-            kernel = np.exp(logk)
-            kernel *= p
-            np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-            kernels[g, :, :kernel.shape[1]] = kernel
-        batch = _scale(kernels.reshape(-1, n_max, mu_w.size), mu_rows, mu_w, 500,
-                       SCALING_TOL, groups=len(sides)).reshape(kernels.shape)
-        plans = [np.stack([_round_feasible(q[:mu_a.size], mu_a, mu_w) for q in runs_g])
-                 for (_, mu_a), runs_g in zip(sides, batch)]
+        for members, mu_rows in classes:
+            kernels = np.empty((len(members), runs) + plans[members[0]].shape[1:])
+            for g, out in zip(members, kernels):
+                atp = np.stack([sides[g][0] @ plan for plan in plans[g]])
+                logk = (-inv_beta) * (offsets[g][None] - 2.0 * (atp @ w_t))
+                logk -= logk.max(axis=2, keepdims=True)
+                np.exp(logk, out=out)
+                out *= plans[g]
+                np.maximum(out, KERNEL_FLOOR, out=out)
+            batch = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_w, 500,
+                           SCALING_TOL, groups=len(members)).reshape(kernels.shape)
+            for g, runs_g in zip(members, batch):
+                plans[g] = np.stack([_round_feasible(q, sides[g][1], mu_w) for q in runs_g])
     return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, p, raw, cfg.polish_iters)
             for (mat_a, mu_a), offset, p, (_, raw) in zip(sides, offsets, plans, starts)]
 

@@ -7,8 +7,7 @@ from typing import List, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .barycenter import MIN_NODES
-from .core import DomainError, ObservedGraph, _degree_measure
+from .core import MIN_NODES, DomainError, ObservedGraph, _degree_measure
 from .graphons import GraphonSpec, _evaluate_array
 
 
