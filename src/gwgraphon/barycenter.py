@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -113,22 +113,31 @@ def barycenter_update(graphs, plans, mu_w, weights=None) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _alternate(graphs, cfg, k, update: Callable) -> StepFunction:
-    """Shared alternating loop: each round solves every graph against the
-    current values in one batched transport solve, then applies the update."""
-    graphs = list(graphs)
-    if not graphs:
-        raise DomainError("need at least one graph")
-    if k is None:
-        k = select_partition_count([g.node_count for g in graphs])
-    mu_w = estimate_barycenter_measure(graphs, int(k))
-    rng = np.random.default_rng(cfg.seed)
-    start = rng.random((int(k), int(k)))
-    values = 0.5 * (start + start.T)
+def _alternate(problems, cfg, k, update: Callable) -> List[StepFunction]:
+    """Shared alternating loop over (graphs, seed) problems, fitted in
+    lockstep: each round solves every graph of every problem against its
+    problem's current values in one batched transport solve, then applies
+    the update per problem. A problem's seed draws its starting values and
+    its solves' random anchors, so each fit equals the fit of its problem
+    alone; estimate_gwb is the problem of one."""
+    problems = [(list(graphs), seed) for graphs, seed in problems]
+    measures, values = [], []
+    for graphs, seed in problems:
+        if not graphs:
+            raise DomainError("need at least one graph")
+        k_fit = select_partition_count([g.node_count for g in graphs]) if k is None else int(k)
+        measures.append(estimate_barycenter_measure(graphs, k_fit))
+        start = np.random.default_rng(seed).random((k_fit, k_fit))
+        values.append(0.5 * (start + start.T))
+    owners = [p for p, (graphs, _) in enumerate(problems) for _ in graphs]
+    spaces = [g for graphs, _ in problems for g in graphs]
+    seeds = [problems[p][1] for p in owners]
     for _ in range(cfg.outer_iters):
-        plans = [res.plan.coupling for res in proximal_gw_batch(graphs, (values, mu_w), cfg)]
-        values = update(graphs, plans, mu_w)
-    return StepFunction(values, mu_w)
+        targets = [(v, mu_w) for v, mu_w in zip(values, measures)]
+        results = iter(proximal_gw_batch(spaces, [targets[p] for p in owners], cfg, seeds))
+        values = [update(graphs, [next(results).plan.coupling for _ in graphs], mu_w)
+                  for (graphs, _), mu_w in zip(problems, measures)]
+    return [StepFunction(v, mu_w) for v, mu_w in zip(values, measures)]
 
 
 def estimate_gwb(graphs: Sequence[ObservedGraph], cfg: Optional[SolverConfig] = None,
@@ -144,4 +153,4 @@ def estimate_gwb(graphs: Sequence[ObservedGraph], cfg: Optional[SolverConfig] = 
     """
     if cfg is None:
         cfg = SolverConfig()
-    return _alternate(graphs, cfg, k, barycenter_update)
+    return _alternate([(graphs, cfg.seed)], cfg, k, barycenter_update)[0]

@@ -163,8 +163,8 @@ def _cmd_estimate(args) -> int:
     started = time.perf_counter()
     estimate = _fit_estimate(graphs, args.method, cfg, k, mode)
     runtime = time.perf_counter() - started
-    objective = float(np.mean([res.distance_sq
-                               for res in proximal_gw_batch(graphs, estimate, cfg)]))
+    solves = proximal_gw_batch(graphs, [estimate] * len(graphs), cfg)
+    objective = float(np.mean([res.distance_sq for res in solves]))
     write_step_function(estimate, args.out)
     if args.heatmap is not None:
         side = max(estimate.partition_count, MIN_HEATMAP_SIDE)

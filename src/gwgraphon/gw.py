@@ -20,6 +20,9 @@ from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
 KERNEL_FLOOR = 1e-300
 # column-marginal residual at which the proximal steps and entropic_ot stop scaling
 SCALING_TOL = 1e-9
+# kernel bytes per scaling stack, set to a 2 MB per-core L2 cache: a larger
+# stack scaled slower per kernel there than two stacks of half its size
+STACK_BYTES = 2 ** 21
 
 SpaceLike = Union[ObservedGraph, StepFunction, Tuple]
 
@@ -94,16 +97,17 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     return left[:, None] + right[None, :]
 
 
-def _scale(kernels, mu_rows, mu_col, max_iters, tol, groups=1):
+def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
-    kernels has shape (S, N, K) and mu_rows (S, N), one row marginal per
-    kernel. Runs at most max_iters scaling pairs. Row sums are exact
-    because the row scaling runs last. Every 4th pair the column
-    residuals are checked: the stack is split into `groups` equal runs of
-    consecutive kernels, and a group whose residuals are all within tol is
-    stored and dropped from the scaling, so it stops at the same pair as
-    it would alone. A single kernel is passed as kernel[None] and its plan
+    kernels has shape (S, N, K), mu_rows (S, N) and mu_cols (S, K): each
+    kernel has its own row and column marginal. Runs at most max_iters
+    scaling pairs. Row sums are exact because the row scaling runs last.
+    Every 4th pair the column residuals are checked: the stack is split
+    into `groups` equal runs of consecutive kernels, and a group whose
+    residuals are all within tol is stored and dropped from the scaling,
+    so it stops at the same pair as it would alone. A single kernel is
+    passed as kernel[None] with its marginals as mu[None], and its plan
     read back as [0].
     """
     size = kernels.shape[0] // groups
@@ -115,21 +119,22 @@ def _scale(kernels, mu_rows, mu_col, max_iters, tol, groups=1):
     for it in range(int(max_iters)):
         ka = (kernels_t @ a[:, :, None])[..., 0]
         if b is not None and it % 4 == 0:
-            res = np.abs(b * ka - mu_col)
+            res = np.abs(b * ka - mu_cols)
             if float(res.max()) <= tol:
                 break
             if plans is not None:
-                done = np.repeat(res.reshape(-1, size * mu_col.size).max(axis=1) <= tol, size)
+                done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
                 if done.any():
                     plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
                     keep = ~done
-                    live, kernels, mu_rows = live[keep], kernels[keep], mu_rows[keep]
+                    live, kernels = live[keep], kernels[keep]
+                    mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
                     a, b, ka = a[keep], b[keep], ka[keep]
                     kernels_t = kernels.transpose(0, 2, 1)
-        b = mu_col / ka
+        b = mu_cols / ka
         a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
     if b is None:
-        b = mu_col / ((kernels_t @ a[:, :, None])[..., 0])
+        b = mu_cols / ((kernels_t @ a[:, :, None])[..., 0])
         a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
@@ -180,7 +185,7 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
         raise DomainError("marginals must be strictly positive")
     if int(inner_iters) < 1:
         raise DomainError("inner_iters must be at least 1")
-    plan = _scale(kernel[None], mu_row[None], mu_col, int(inner_iters), 1e-12)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col[None], int(inner_iters), 1e-12)[0]
     return TransportPlan(plan, mu_row, mu_col)
 
 
@@ -253,7 +258,7 @@ def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
 def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) -> GwResult:
     """Proximal-point solver for the squared 2-order GW distance.
 
-    The batch of one: proximal_gw_batch([a], w, cfg)[0]. Starting from the
+    The batch of one: proximal_gw_batch([a], [w], cfg)[0]. Starting from the
     product coupling, each of the cfg.sinkhorn_iters proximal steps builds
     the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals (at
     most 500 scaling pairs, stopping at a column residual of SCALING_TOL),
@@ -274,56 +279,82 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     Returns the final plan together with the quadratic objective
     <offset - 2·a·T·wᵀ, T> evaluated at it, floored at zero.
     """
-    return proximal_gw_batch([a], w, cfg)[0]
+    return proximal_gw_batch([a], [w], cfg)[0]
 
 
-def proximal_gw_batch(spaces: Sequence[SpaceLike], w: SpaceLike,
-                      cfg: Optional[SolverConfig] = None) -> List[GwResult]:
-    """proximal_gw of every space against one target w, in one solve.
+def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
+                      cfg: Optional[SolverConfig] = None,
+                      seeds: Optional[Sequence[int]] = None) -> List[GwResult]:
+    """proximal_gw of every space against its own target, in one solve.
 
-    Spaces of equal node count share one stack of (space, restart) kernels
-    in each proximal step, so nothing is padded: the scaling costs what the
+    targets holds one target per space; a target object repeated in the
+    list is prepared once. seeds, when given, holds one anchor seed per
+    space in place of cfg.seed (the seed only draws the random anchors of
+    cfg.restarts >= 4). Spaces that share both node count and target size
+    share one stack of (space, restart) kernels in each proximal step,
+    whichever targets they have, split into near-equal stacks of at most
+    STACK_BYTES of kernels. Nothing is padded: the scaling costs what the
     solves need, and each space's restarts leave the stack at the check
     where they would stop scaling alone. Every result is therefore
-    bit-identical to proximal_gw of that space alone, whatever else is in
-    the batch. Cost build, rounding, polishing and the choice of the best
-    candidate run per space.
+    bit-identical to proximal_gw of that space and target alone, whatever
+    else is in the batch. Cost build, rounding, polishing and the choice
+    of the best candidate run per space.
     """
     if cfg is None:
         cfg = SolverConfig()
     sides = [_as_space(space) for space in spaces]
     if not sides:
         raise DomainError("need at least one space to solve")
-    mat_w, mu_w = _as_space(w)
-    if sp.issparse(mat_w):
-        mat_w = mat_w.toarray()
-    w_t = np.ascontiguousarray(mat_w.T)
+    targets = list(targets)
+    seeds = [cfg.seed] * len(sides) if seeds is None else list(seeds)
+    if len(targets) != len(sides) or len(seeds) != len(sides):
+        raise DomainError("got %d spaces, %d targets and %d seeds"
+                          % (len(sides), len(targets), len(seeds)))
+    prepared = {}
+    for target in targets:
+        if id(target) not in prepared:
+            mat_w, mu_w = _as_space(target)
+            if sp.issparse(mat_w):
+                mat_w = mat_w.toarray()
+            prepared[id(target)] = (mat_w, mu_w, np.ascontiguousarray(mat_w.T))
+    cols = [prepared[id(target)] for target in targets]
     inv_beta = 1.0 / cfg.beta
-    offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w) for mat_a, mu_a in sides]
-    starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, cfg.seed) for _, mu_a in sides]
+    offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
+               for (mat_a, mu_a), (mat_w, mu_w, _) in zip(sides, cols)]
+    starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, seed)
+              for (_, mu_a), (_, mu_w, _), seed in zip(sides, cols, seeds)]
     plans = [np.stack(anchors) for anchors, _ in starts]
     runs = plans[0].shape[0]
-    by_size = {}
-    for g, (_, mu_a) in enumerate(sides):
-        by_size.setdefault(mu_a.size, []).append(g)
-    classes = [(members, np.repeat(np.stack([sides[g][1] for g in members]), runs, axis=0))
-               for members in by_size.values()]
+    by_shape = {}
+    for g, offset in enumerate(offsets):
+        by_shape.setdefault(offset.shape, []).append(g)
+    stacks = []
+    for (n, k), members in by_shape.items():
+        parts = -(-len(members) * runs * n * k * 8 // STACK_BYTES)
+        size = -(-len(members) // parts)
+        stacks += [members[i:i + size] for i in range(0, len(members), size)]
+    classes = [(members,
+                np.repeat(np.stack([sides[g][1] for g in members]), runs, axis=0),
+                np.repeat(np.stack([cols[g][1] for g in members]), runs, axis=0))
+               for members in stacks]
     for _ in range(cfg.sinkhorn_iters):
-        for members, mu_rows in classes:
-            kernels = np.empty((len(members), runs) + plans[members[0]].shape[1:])
+        for members, mu_rows, mu_cols in classes:
+            kernels = np.empty((len(members), runs) + offsets[members[0]].shape)
             for g, out in zip(members, kernels):
                 atp = np.stack([sides[g][0] @ plan for plan in plans[g]])
-                logk = (-inv_beta) * (offsets[g][None] - 2.0 * (atp @ w_t))
+                logk = (-inv_beta) * (offsets[g][None] - 2.0 * (atp @ cols[g][2]))
                 logk -= logk.max(axis=2, keepdims=True)
                 np.exp(logk, out=out)
                 out *= plans[g]
                 np.maximum(out, KERNEL_FLOOR, out=out)
-            batch = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_w, 500,
+            batch = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_cols, 500,
                            SCALING_TOL, groups=len(members)).reshape(kernels.shape)
             for g, runs_g in zip(members, batch):
-                plans[g] = np.stack([_round_feasible(q, sides[g][1], mu_w) for q in runs_g])
+                plans[g] = np.stack([_round_feasible(q, sides[g][1], cols[g][1])
+                                     for q in runs_g])
     return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, p, raw, cfg.polish_iters)
-            for (mat_a, mu_a), offset, p, (_, raw) in zip(sides, offsets, plans, starts)]
+            for (mat_a, mu_a), (mat_w, mu_w, w_t), offset, p, (_, raw)
+            in zip(sides, cols, offsets, plans, starts)]
 
 
 def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_iters):
@@ -372,7 +403,7 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan = _scale(kernel[None], mu_row[None], mu_col, 10000, SCALING_TOL)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0]
     plan = _round_feasible(plan, mu_row, mu_col)
     return TransportPlan(plan, mu_row, mu_col)
 

@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .barycenter import (
+    _alternate,
     _coupling,
     barycenter_update,
     estimate_barycenter_measure,
@@ -64,16 +65,19 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
                      track_objective: bool = False) -> MixtureModel:
     """Fit c component step functions and a soft assignment to a graph population.
 
-    Components start from a seeded round-robin sharding of the population,
-    and every (graph, component) pair is solved once against them, in one
-    batched transport solve per component. Each round then re-estimates
-    each component as the assignment-weighted barycenter of the population
-    from the plans it already holds, solves every pair once against the
-    new components, again one batch per component, and refreshes the
-    assignment as the entropic optimal transport plan, at entropic weight
-    cfg.beta and between uniform marginals over components and graphs, of
-    those solves' distances. The same solves give the plans of the next
-    round's update, so a fit makes (rounds + 1)·c·M transport solves.
+    Components start as the barycenters of a seeded round-robin sharding
+    of the population, each fitted under its own derived seed; the shards
+    are fitted in lockstep, one batched transport solve per outer round,
+    and each equals estimate_gwb of its shard alone. Every (graph,
+    component) pair is then solved once against them, all c·M pairs in one
+    batched transport solve. Each round re-estimates each component as the
+    assignment-weighted barycenter of the population from the plans it
+    already holds, solves every pair once against the new components, again
+    in one batch, and refreshes the assignment as the entropic optimal
+    transport plan, at entropic weight cfg.beta and between uniform
+    marginals over components and graphs, of those solves' distances. The
+    same solves give the plans of the next round's update, so a fit makes
+    (rounds + 1)·c·M transport solves in rounds + 1 batches.
 
     :param graphs: observed population, at least c graphs.
     :param c: number of components, >= 1.
@@ -103,7 +107,7 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         trace = None
         if track_objective:
             dists = np.array([[res.distance_sq
-                               for res in proximal_gw_batch(graphs, component, cfg)]])
+                               for res in proximal_gw_batch(graphs, [component] * m, cfg)]])
             trace = (float(np.sum(coupling * dists)),)
         return MixtureModel((component,), plan, trace)
 
@@ -111,14 +115,14 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     shuffle = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     order = shuffle.permutation(m)
-    comps = []
-    for ci in range(c):
-        shard = [graphs[gi] for gi in order[ci::c]]
-        seeded = estimate_gwb(shard, _derived_cfg(cfg, 3, ci), k=k)
-        comps.append((seeded.values, seeded.measure))
+    shards = [([graphs[gi] for gi in order[ci::c]], _derived_cfg(cfg, 3, ci).seed)
+              for ci in range(c)]
+    comps = [(seeded.values, seeded.measure)
+             for seeded in _alternate(shards, cfg, k, barycenter_update)]
 
     def solve_all():
-        return [proximal_gw_batch(graphs, comp, cfg) for comp in comps]
+        results = proximal_gw_batch(graphs * c, [comp for comp in comps for _ in graphs], cfg)
+        return [results[ci * m:(ci + 1) * m] for ci in range(c)]
 
     solves = solve_all()
     p = np.full((c, m), 1.0 / (c * m))

@@ -159,4 +159,4 @@ def estimate_sgwb(graphs: Sequence[ObservedGraph], cfg: Optional[SolverConfig] =
     def update(graphs_, plans_, mu_w_):
         return smoothed_barycenter_update(graphs_, plans_, mu_w_, cfg.alpha, mode)
 
-    return _alternate(graphs, cfg, k, update)
+    return _alternate([(graphs, cfg.seed)], cfg, k, update)[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_measure, random_space, random_step_function
+from gwgraphon import gw
 from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
                             ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
@@ -200,59 +203,90 @@ def _truth(family, k):
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
-def test_equal_size_batch_is_bit_identical_to_single_solves(restarts):
+def test_equal_size_batch_is_bit_identical_to_single_solves(monkeypatch, restarts):
     """Graphs of one size share a stack and get exactly the one-at-a-time
     results, also the edgeless graph, whose scaling converges at the first
-    check while the others scale on."""
+    check while the others scale on, and also when a stack of two graphs'
+    kernel bytes splits them into two stacks."""
     graphs = [sample_graph(GraphonSpec("abs_diff"), 30, seed=s) for s in range(3)]
     graphs.append(ObservedGraph.from_dense(np.zeros((30, 30))))
     target = _truth("abs_diff", 6)
     cfg = SolverConfig(restarts=restarts)
-    for g, res in zip(graphs, proximal_gw_batch(graphs, target, cfg)):
-        alone = proximal_gw(g, target, cfg)
-        np.testing.assert_array_equal(res.plan.coupling, alone.plan.coupling)
-        assert res.distance_sq == alone.distance_sq
+    alone = [proximal_gw(g, target, cfg) for g in graphs]
+    for stack_bytes in (gw.STACK_BYTES, 2 * restarts * 30 * 6 * 8):
+        monkeypatch.setattr(gw, "STACK_BYTES", stack_bytes)
+        batch = proximal_gw_batch(graphs, [target] * len(graphs), cfg)
+        assert len(batch) == len(graphs)
+        for res, solo in zip(batch, alone):
+            np.testing.assert_array_equal(res.plan.coupling, solo.plan.coupling)
+            assert res.distance_sq == solo.distance_sq
 
 
 def test_converged_group_stops_at_its_own_pair(rng):
     """A group of kernels that converges at the first check is stored there
-    with the plan it gets alone; the other group scales on to its own end."""
+    with the plan it gets alone; the other group, with other column
+    marginals, scales on to its own end."""
     n, k = 9, 5
     fast = [np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5) for _ in range(2)]
     slow = [np.exp(-rng.random((n, k)) / 0.02) for _ in range(2)]
     kernels = np.stack(fast + slow)
     mu_rows = np.stack([random_measure(rng, n) for _ in range(4)])
-    mu_col = random_measure(rng, k)
-    batch = _scale(kernels, mu_rows, mu_col, 500, SCALING_TOL, groups=2)
-    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_col, 500, SCALING_TOL)
-    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_col, 500, SCALING_TOL)
+    mu_cols = np.repeat(np.stack([random_measure(rng, k) for _ in range(2)]), 2, axis=0)
+    assert not np.array_equal(mu_cols[0], mu_cols[2])
+    batch = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=2)
+    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 500, SCALING_TOL)
+    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 500, SCALING_TOL)
     np.testing.assert_array_equal(batch[:2], alone_fast)
     np.testing.assert_array_equal(batch[2:], alone_slow)
+    assert float(np.abs(batch[:2].sum(axis=1) - mu_cols[0]).max()) <= SCALING_TOL
     # the first check comes after pair 4: the fast group stopped there
-    np.testing.assert_array_equal(alone_fast, _scale(kernels[:2], mu_rows[:2], mu_col, 5,
+    np.testing.assert_array_equal(alone_fast, _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 5,
                                                      SCALING_TOL))
-    assert not np.array_equal(alone_slow, _scale(kernels[2:], mu_rows[2:], mu_col, 5,
+    assert not np.array_equal(alone_slow, _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 5,
                                                  SCALING_TOL))
 
 
 @settings(max_examples=20, deadline=None)
 @given(family=st.sampled_from(FAMILY_NAMES),
        sizes=st.lists(st.integers(3, 40), min_size=1, max_size=4), odd=st.integers(0, 9),
-       k=st.integers(2, 8), restarts=st.sampled_from([1, 4]), polish=st.sampled_from([0, 5]),
+       ks=st.lists(st.integers(2, 8), min_size=2, max_size=2), targets=st.integers(1, 3),
+       pick=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       restarts=st.sampled_from([1, 4]), polish=st.sampled_from([0, 5]),
        seed=st.integers(0, 2 ** 16))
-def test_mixed_size_batch_matches_single_solves(family, sizes, k, odd, restarts, polish, seed):
-    """Each graph of a mixed-size batch gets exactly the plan and value it
-    gets alone, on both marginals. The last two graphs share a size of
-    3 (mod 4), the tail of a blocked matvec, so one stack holds two graphs."""
-    sizes = sizes + [4 * odd + 3] * 2
+def test_mixed_size_batch_matches_single_solves(family, sizes, odd, ks, targets, pick,
+                                                restarts, polish, seed):
+    """Each space of a batch with mixed sizes, up to 3 targets and its own
+    anchor seed gets exactly the plan and value it gets alone, on both
+    marginals. The first two targets share a size but not a measure, and
+    the last three graphs share a size of 3 (mod 4), the tail of a blocked
+    matvec; two of them share the first target, the third takes the last,
+    so one stack holds kernels of several graphs and column marginals."""
+    rng = np.random.default_rng(seed)
+    truth = _truth(family, ks[0])
+    pool = [truth, StepFunction(truth.values, np.sort(random_measure(rng, ks[0]))[::-1]),
+            StepFunction(_truth(family, ks[1]).values, np.sort(random_measure(rng, ks[1]))[::-1])]
+    pool = pool[:targets]
+    sizes = sizes + [4 * odd + 3] * 3
     graphs = [sample_graph(GraphonSpec(family), n, seed=seed + i) for i, n in enumerate(sizes)]
-    target = _truth(family, k)
+    owners = [p % targets for p in pick[:len(sizes) - 3]] + [0, 0, targets - 1]
+    seeds = [seed + 7 * i for i in range(len(graphs))]
     cfg = SolverConfig(restarts=restarts, polish_iters=polish)
-    for g, res in zip(graphs, proximal_gw_batch(graphs, target, cfg)):
-        alone = proximal_gw(g, target, cfg)
+    batch = proximal_gw_batch(graphs, [pool[o] for o in owners], cfg, seeds)
+    for g, o, s, res in zip(graphs, owners, seeds, batch):
+        target = pool[o]
+        alone = proximal_gw(g, target, dataclasses.replace(cfg, seed=s))
         np.testing.assert_array_equal(res.plan.coupling, alone.plan.coupling)
         assert res.distance_sq == alone.distance_sq
         t = res.plan.coupling
-        assert t.shape == (g.node_count, k)
+        assert t.shape == (g.node_count, target.partition_count)
         assert float(np.abs(t.sum(axis=1) - g.measure).max()) <= PLAN_MARGINAL_TOL
         assert float(np.abs(t.sum(axis=0) - target.measure).max()) <= PLAN_MARGINAL_TOL
+
+
+def test_batch_needs_one_target_and_seed_per_space():
+    graphs = [sample_graph(GraphonSpec("xy"), 10, seed=s) for s in range(2)]
+    target = _truth("xy", 3)
+    with pytest.raises(DomainError):
+        proximal_gw_batch(graphs, [target], SolverConfig())
+    with pytest.raises(DomainError):
+        proximal_gw_batch(graphs, [target] * 2, SolverConfig(), seeds=[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gwgraphon import mixture
-from gwgraphon.barycenter import estimate_gwb
+from gwgraphon.barycenter import estimate_gwb, select_partition_count
 from gwgraphon.core import DomainError, SolverConfig, TransportPlan
 from gwgraphon.evaluation import clustering_accuracy
 from gwgraphon.graphons import GraphonSpec
@@ -87,7 +87,8 @@ def test_objective_trace_length():
 def test_each_pair_is_solved_once_per_round(monkeypatch):
     """One solve per (graph, component) against the seeded components, then
     one per pair per round: the update reuses the previous solve's plans.
-    Counts the pairs handed to the batched solver."""
+    Counts the pairs handed to the batched solver and its calls: every pair
+    of a round goes into one batch."""
     graphs, _ = _two_family_population(2, seed=40)
     cfg = SolverConfig(outer_iters=1, sinkhorn_iters=2)
     calls = []
@@ -95,14 +96,44 @@ def test_each_pair_is_solved_once_per_round(monkeypatch):
 
     def counted(spaces, *args, **kwargs):
         spaces = list(spaces)
-        calls.extend([1] * len(spaces))
+        calls.append(len(spaces))
         return solve(spaces, *args, **kwargs)
 
     monkeypatch.setattr(mixture, "proximal_gw_batch", counted)
     for rounds in (1, 3):
         calls.clear()
         estimate_mixture(graphs, 2, cfg, rounds=rounds)
-        assert len(calls) == (rounds + 1) * 2 * len(graphs)
+        assert sum(calls) == (rounds + 1) * 2 * len(graphs)
+        assert len(calls) == rounds + 1
+
+
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_lockstep_seeding_equals_separate_shard_fits(monkeypatch, restarts):
+    """The seeding shards are fitted in lockstep, one batch per outer round,
+    and each seeded component is bit-identical to the barycenter of its
+    shard fitted alone under the shard's derived seed. With two sizes among
+    six graphs, graphs of different shards share kernel stacks."""
+    graphs = (list(sample_population(GraphonSpec("blocks"), 3, [30, 31], seed=8))
+              + list(sample_population(GraphonSpec("bipartite"), 3, [30, 31], seed=9)))
+    cfg = SolverConfig(outer_iters=2, sinkhorn_iters=3, restarts=restarts)
+    fits = []
+    alternate = mixture._alternate
+
+    def recorded(problems, *args, **kwargs):
+        problems = list(problems)
+        fits.append((problems, alternate(problems, *args, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(mixture, "_alternate", recorded)
+    estimate_mixture(graphs, 3, cfg, rounds=1)
+    [(shards, seeded)] = fits
+    assert len(shards) == 3
+    assert sorted(id(g) for shard, _ in shards for g in shard) == sorted(id(g) for g in graphs)
+    k = select_partition_count([g.node_count for g in graphs])
+    for ci, ((shard, _), got) in enumerate(zip(shards, seeded)):
+        alone = estimate_gwb(shard, mixture._derived_cfg(cfg, 3, ci), k=k)
+        np.testing.assert_array_equal(got.values, alone.values)
+        np.testing.assert_array_equal(got.measure, alone.measure)
 
 
 def test_assign_clusters_picks_heaviest_component():
