@@ -20,9 +20,6 @@ from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
 KERNEL_FLOOR = 1e-300
 # column-marginal residual at which the proximal steps and entropic_ot stop scaling
 SCALING_TOL = 1e-9
-# kernel bytes per scaling stack, set to a 2 MB per-core L2 cache: a larger
-# stack scaled slower per kernel there than two stacks of half its size
-STACK_BYTES = 2 ** 21
 
 SpaceLike = Union[ObservedGraph, StepFunction, Tuple]
 
@@ -292,9 +289,8 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     space in place of cfg.seed (the seed only draws the random anchors of
     cfg.restarts >= 4). Spaces that share both node count and target size
     share one stack of (space, restart) kernels in each proximal step,
-    whichever targets they have, split into near-equal stacks of at most
-    STACK_BYTES of kernels. Nothing is padded: the scaling costs what the
-    solves need, and each space's restarts leave the stack at the check
+    whichever targets they have. Nothing is padded: the scaling costs what
+    the solves need, and each space's restarts leave the stack at the check
     where they would stop scaling alone. Every result is therefore
     bit-identical to proximal_gw of that space and target alone, whatever
     else is in the batch. Cost build, rounding, polishing and the choice
@@ -328,15 +324,10 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     by_shape = {}
     for g, offset in enumerate(offsets):
         by_shape.setdefault(offset.shape, []).append(g)
-    stacks = []
-    for (n, k), members in by_shape.items():
-        parts = -(-len(members) * runs * n * k * 8 // STACK_BYTES)
-        size = -(-len(members) // parts)
-        stacks += [members[i:i + size] for i in range(0, len(members), size)]
     classes = [(members,
                 np.repeat(np.stack([sides[g][1] for g in members]), runs, axis=0),
                 np.repeat(np.stack([cols[g][1] for g in members]), runs, axis=0))
-               for members in stacks]
+               for members in by_shape.values()]
     for _ in range(cfg.sinkhorn_iters):
         for members, mu_rows, mu_cols in classes:
             kernels = np.empty((len(members), runs) + offsets[members[0]].shape)

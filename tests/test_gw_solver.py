@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_measure, random_space, random_step_function
-from gwgraphon import gw
 from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
                             ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
@@ -203,23 +202,20 @@ def _truth(family, k):
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
-def test_equal_size_batch_is_bit_identical_to_single_solves(monkeypatch, restarts):
+def test_equal_size_batch_is_bit_identical_to_single_solves(restarts):
     """Graphs of one size share a stack and get exactly the one-at-a-time
     results, also the edgeless graph, whose scaling converges at the first
-    check while the others scale on, and also when a stack of two graphs'
-    kernel bytes splits them into two stacks."""
+    check while the others scale on."""
     graphs = [sample_graph(GraphonSpec("abs_diff"), 30, seed=s) for s in range(3)]
     graphs.append(ObservedGraph.from_dense(np.zeros((30, 30))))
     target = _truth("abs_diff", 6)
     cfg = SolverConfig(restarts=restarts)
-    alone = [proximal_gw(g, target, cfg) for g in graphs]
-    for stack_bytes in (gw.STACK_BYTES, 2 * restarts * 30 * 6 * 8):
-        monkeypatch.setattr(gw, "STACK_BYTES", stack_bytes)
-        batch = proximal_gw_batch(graphs, [target] * len(graphs), cfg)
-        assert len(batch) == len(graphs)
-        for res, solo in zip(batch, alone):
-            np.testing.assert_array_equal(res.plan.coupling, solo.plan.coupling)
-            assert res.distance_sq == solo.distance_sq
+    batch = proximal_gw_batch(graphs, [target] * len(graphs), cfg)
+    assert len(batch) == len(graphs)
+    for g, res in zip(graphs, batch):
+        alone = proximal_gw(g, target, cfg)
+        np.testing.assert_array_equal(res.plan.coupling, alone.plan.coupling)
+        assert res.distance_sq == alone.distance_sq
 
 
 def test_converged_group_stops_at_its_own_pair(rng):
