@@ -23,9 +23,10 @@ from .core import MIN_NODES, GraphonError, ParseError, SolverConfig, ValidationE
 from .evaluation import (clustering_accuracy, gw_error, mse_error,
                          naive_average_estimate, scoring_config,
                          upsample_step_function, usvt_estimate)
-from .fileio import (ResultRow, append_result_row, read_edge_list,
-                     read_step_function, read_tu_dataset, write_edge_list,
-                     write_heatmap, write_results_csv, write_step_function)
+from .fileio import (ResultRow, _read_int_lines, _text_lines, append_result_row,
+                     read_edge_list, read_step_function, read_tu_dataset,
+                     write_edge_list, write_heatmap, write_results_csv,
+                     write_step_function)
 from .graphons import FAMILY_NAMES, HARD_FAMILIES, GraphonSpec
 from .gw import proximal_gw_batch
 from .mixture import assign_clusters, estimate_mixture
@@ -64,16 +65,18 @@ def _parse_nodes(text):
 
 
 def _load_grid(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    if first.startswith("K "):
+    lines = _text_lines(path)
+    if lines and lines[0][1].startswith("K "):
         w = read_step_function(path)
         if not np.allclose(w.measure, 1.0 / w.partition_count, atol=1e-9):
             raise UsageError(
                 "step-function file %r has a non-uniform measure; only "
                 "uniform-measure files can be reused as grids" % (path,))
         return np.asarray(w.values)
-    return np.loadtxt(path, ndmin=2)
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ParseError("grid file %r: %s" % (path, exc)) from None
 
 
 def _parse_graphon(text):
@@ -91,20 +94,6 @@ def _read_population(directory):
     if not graphs:
         raise UsageError("no .txt edge lists under %r" % (directory,))
     return graphs
-
-
-def _read_label_file(path):
-    labels: List[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise ParseError("label is not an integer", line=lineno) from None
-    return labels
 
 
 def _solver_config(**kwargs):
@@ -191,7 +180,7 @@ def _cmd_cluster(args) -> int:
         if truth_labels is not None:
             truth_labels = truth_labels[: args.limit]
     if args.labels is not None:
-        truth_labels = _read_label_file(args.labels)
+        truth_labels = _read_int_lines(args.labels, "label")
     if args.clusters < 1:
         raise UsageError("--clusters must be at least 1")
     if args.clusters > len(graphs):

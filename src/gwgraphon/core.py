@@ -246,8 +246,10 @@ class SolverConfig:
     :param sinkhorn_iters: proximal steps per transport solve.
     :param alpha: smoothness weight used by the smoothed estimator.
     :param seed: seed for every randomized initialization.
-    :param restarts: number of deterministic initializations tried per
-        transport solve; the best objective wins.  1 keeps the plain
+    :param restarts: upper bound on the initializations tried per
+        transport solve; the best objective wins.  Equal starts are solved
+        once, so on a target with equal block masses the antitone start,
+        which equals the monotone one, is left out.  1 keeps the plain
         product-coupling start.
     :param polish_iters: projected-gradient steps applied to the candidate
         plans after the proximal loop.  0 disables polishing.

@@ -16,6 +16,26 @@ from .core import (DomainError, ObservedGraph, ParseError, RangeError,
                    StepFunction, ValidationError)
 
 
+def _text_lines(path):
+    """(1-based line number, stripped text) of every non-blank line of a
+    UTF-8 text file, split at the line breaks text mode splits at.
+
+    :raises ParseError: a byte sequence that is not UTF-8, with the line it
+        is on.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (byte 0x%02x)"
+                         % (os.path.basename(path), data[exc.start]),
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+            if line]
+
+
 def read_edge_list(path) -> ObservedGraph:
     """Read a graph from text: header "N <count>", then one "u v" edge per
     line with 0-based endpoints.
@@ -29,33 +49,29 @@ def read_edge_list(path) -> ObservedGraph:
     """
     count = None
     pairs: List[Tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if count is None:
-                if len(parts) != 2 or parts[0] != "N":
-                    raise ParseError("expected header 'N <count>'", line=lineno)
-                try:
-                    count = int(parts[1])
-                except ValueError:
-                    raise ParseError("node count is not an integer", line=lineno) from None
-                if count < 1:
-                    raise ParseError("node count must be positive", line=lineno)
-                continue
-            if len(parts) != 2:
-                raise ParseError("expected an edge 'u v'", line=lineno)
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if count is None:
+            if len(parts) != 2 or parts[0] != "N":
+                raise ParseError("expected header 'N <count>'", line=lineno)
             try:
-                u, v = int(parts[0]), int(parts[1])
+                count = int(parts[1])
             except ValueError:
-                raise ParseError("edge endpoints are not integers", line=lineno) from None
-            if not (0 <= u < count and 0 <= v < count):
-                raise RangeError("line %d: endpoint outside [0, %d)" % (lineno, count))
-            if u == v:
-                raise ParseError("self-loops are not allowed", line=lineno)
-            pairs.append((u, v))
+                raise ParseError("node count is not an integer", line=lineno) from None
+            if count < 1:
+                raise ParseError("node count must be positive", line=lineno)
+            continue
+        if len(parts) != 2:
+            raise ParseError("expected an edge 'u v'", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints are not integers", line=lineno) from None
+        if not (0 <= u < count and 0 <= v < count):
+            raise RangeError("line %d: endpoint outside [0, %d)" % (lineno, count))
+        if u == v:
+            raise ParseError("self-loops are not allowed", line=lineno)
+        pairs.append((u, v))
     if count is None:
         raise ParseError("missing header 'N <count>'", line=1)
     return ObservedGraph.from_edges(count, pairs)
@@ -74,16 +90,12 @@ def write_edge_list(graph: ObservedGraph, path):
 
 def _read_int_lines(path, what):
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ParseError("%s: %s is not an integer" % (os.path.basename(path), what),
-                                 line=lineno) from None
+    for lineno, line in _text_lines(path):
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ParseError("%s: %s is not an integer" % (os.path.basename(path), what),
+                             line=lineno) from None
     return values
 
 
@@ -125,26 +137,22 @@ def read_tu_dataset(directory) -> List[Tuple[ObservedGraph, int]]:
         raise ParseError("graph indicator skips a graph id (no nodes assigned)", line=1)
 
     per_graph: List[List[Tuple[int, int]]] = [[] for _ in range(graph_count)]
-    with open(edge_path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ParseError("expected an edge 'u, v'", line=lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("edge endpoints are not integers", line=lineno) from None
-            if not (1 <= u <= node_count and 1 <= v <= node_count):
-                raise RangeError("line %d: node id outside [1, %d]" % (lineno, node_count))
-            if u == v:
-                raise ParseError("self-loops are not allowed", line=lineno)
-            gu, gv = owner[u - 1], owner[v - 1]
-            if gu != gv:
-                raise ParseError("edge joins graphs %d and %d" % (gu + 1, gv + 1), line=lineno)
-            per_graph[gu].append((int(local_index[u - 1]), int(local_index[v - 1])))
+    for lineno, line in _text_lines(edge_path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise ParseError("expected an edge 'u, v'", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints are not integers", line=lineno) from None
+        if not (1 <= u <= node_count and 1 <= v <= node_count):
+            raise RangeError("line %d: node id outside [1, %d]" % (lineno, node_count))
+        if u == v:
+            raise ParseError("self-loops are not allowed", line=lineno)
+        gu, gv = owner[u - 1], owner[v - 1]
+        if gu != gv:
+            raise ParseError("edge joins graphs %d and %d" % (gu + 1, gv + 1), line=lineno)
+        per_graph[gu].append((int(local_index[u - 1]), int(local_index[v - 1])))
 
     labels = _read_int_lines(prefix + "_graph_labels.txt", "graph label")
     if len(labels) != graph_count:
@@ -185,12 +193,7 @@ def read_step_function(path) -> StepFunction:
     :raises ValidationError: row/column count mismatch, a measure not summing
         to 1 within 1e-9, or any other step-function invariant violation.
     """
-    lines = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line:
-                lines.append((lineno, line))
+    lines = _text_lines(path)
     if not lines:
         raise ParseError("empty step-function file", line=1)
     head_no, head = lines[0]

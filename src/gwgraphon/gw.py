@@ -209,24 +209,27 @@ def _restart_anchors(mu_row, mu_col, restarts, seed):
     """Initial plans for the proximal loop: the product coupling first, then
     the mass-sorted monotone and antitone couplings (blended with the product
     coupling so the kernel anchor keeps full support), then seeded random
-    anchors. Returns the anchors and the unblended sorted couplings, which
-    are exactly feasible."""
+    anchors, at most restarts plans in all. A sorted coupling equal to the
+    one before it is left out and no random anchor takes its slot: on equal
+    column masses the stable ascending sort gives the descending order, so
+    the antitone coupling is the monotone one. Returns the anchors and the
+    unblended sorted couplings, which are exactly feasible."""
     product = np.outer(mu_row, mu_col)
     anchors, raw = [product], []
     if restarts <= 1:
         return anchors, raw
     order_r = np.argsort(-mu_row, kind="stable")
-    for ascending in (False, True):
-        if len(anchors) == restarts:
-            break
+    for ascending in (False, True)[:restarts - 1]:
         order_c = np.argsort(mu_col if ascending else -mu_col, kind="stable")
         nw = _northwest_corner(mu_row[order_r], mu_col[order_c])
         anchor = np.zeros_like(product)
         anchor[np.ix_(order_r, order_c)] = nw
+        if raw and np.array_equal(anchor, raw[-1]):
+            continue
         raw.append(anchor)
         anchors.append(0.9 * anchor + 0.1 * product)
     rng = np.random.default_rng(seed)
-    while len(anchors) < restarts:
+    for _ in range(restarts - 3):
         anchors.append(rng.random(product.shape) + 0.1)
     return anchors, raw
 
@@ -267,6 +270,9 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     and antitone couplings and then seeded random anchors, and keeps the
     best plan; the unblended monotone and antitone couplings themselves
     also compete, since any feasible coupling bounds the minimum from above.
+    cfg.restarts is an upper bound: equal starts are solved once, so when
+    w's block masses are all equal the antitone coupling, which is then the
+    monotone one, is left out and no random anchor is drawn in its place.
     With cfg.polish_iters > 0 every proximal candidate is additionally
     refined by projected gradient descent on the true (unregularized)
     objective, which removes the entropic bias of the fixed point, and
@@ -287,14 +293,16 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     targets holds one target per space; a target object repeated in the
     list is prepared once. seeds, when given, holds one anchor seed per
     space in place of cfg.seed (the seed only draws the random anchors of
-    cfg.restarts >= 4). Spaces that share both node count and target size
-    share one stack of (space, restart) kernels in each proximal step,
-    whichever targets they have. Nothing is padded: the scaling costs what
-    the solves need, and each space's restarts leave the stack at the check
-    where they would stop scaling alone. Every result is therefore
-    bit-identical to proximal_gw of that space and target alone, whatever
-    else is in the batch. Cost build, rounding, polishing and the choice
-    of the best candidate run per space.
+    cfg.restarts >= 4). Each distinct start is solved once, so a space
+    against a target with equal block masses has one start fewer than
+    cfg.restarts >= 3 asks for. Spaces that share their start count, node
+    count and target size share one stack of (space, restart) kernels in
+    each proximal step, whichever targets they have. Nothing is padded:
+    the scaling costs what the solves need, and each space's restarts leave
+    the stack at the check where they would stop scaling alone. Every
+    result is therefore bit-identical to proximal_gw of that space and
+    target alone, whatever else is in the batch. Cost build, rounding,
+    polishing and the choice of the best candidate run per space.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -320,17 +328,16 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, seed)
               for (_, mu_a), (_, mu_w, _), seed in zip(sides, cols, seeds)]
     plans = [np.stack(anchors) for anchors, _ in starts]
-    runs = plans[0].shape[0]
     by_shape = {}
-    for g, offset in enumerate(offsets):
-        by_shape.setdefault(offset.shape, []).append(g)
-    classes = [(members,
-                np.repeat(np.stack([sides[g][1] for g in members]), runs, axis=0),
-                np.repeat(np.stack([cols[g][1] for g in members]), runs, axis=0))
-               for members in by_shape.values()]
+    for g, plan in enumerate(plans):
+        by_shape.setdefault(plan.shape, []).append(g)
+    classes = [(members, shape,
+                np.repeat(np.stack([sides[g][1] for g in members]), shape[0], axis=0),
+                np.repeat(np.stack([cols[g][1] for g in members]), shape[0], axis=0))
+               for shape, members in by_shape.items()]
     for _ in range(cfg.sinkhorn_iters):
-        for members, mu_rows, mu_cols in classes:
-            kernels = np.empty((len(members), runs) + offsets[members[0]].shape)
+        for members, shape, mu_rows, mu_cols in classes:
+            kernels = np.empty((len(members),) + shape)
             for g, out in zip(members, kernels):
                 atp = np.stack([sides[g][0] @ plan for plan in plans[g]])
                 logk = (-inv_beta) * (offsets[g][None] - 2.0 * (atp @ cols[g][2]))

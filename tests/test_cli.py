@@ -211,3 +211,23 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
                  "--metric", "mse"]) == 1
     assert main(["cluster", "--in", "tu:" + str(tmp_path / "absent"),
                  "--clusters", "1", "--out", str(tmp_path / "o")]) == 1
+
+
+def test_non_utf8_inputs_exit_one(tmp_path, capsys):
+    """A file that starts with a byte that is not UTF-8 ends in an error
+    line and exit status 1, not a traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffK 2\n")
+    pop = tmp_path / "pop"
+    pop.mkdir()
+    (pop / "g.txt").write_bytes(b"\xffN 3\n0 1\n")
+    capsys.readouterr()
+    assert main(["eval", "--estimate", str(bad), "--truth", "xy", "--metric", "mse"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["estimate", "--in", str(pop), "--out", str(tmp_path / "w.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "words.txt").write_text("0.1 0.2\n0.2 high\n")
+    for grid in (bad, tmp_path / "words.txt"):
+        assert main(["sample", "--graphon", "grid:%s" % grid, "--count", "1",
+                     "--nodes", "5", "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gwgraphon import gw
 from gwgraphon.core import DomainError, SolverConfig, StepFunction
 from gwgraphon.evaluation import (clustering_accuracy, gw_error, mse_error,
                                   naive_average_estimate, scoring_config,
@@ -78,6 +79,25 @@ def test_gw_error_never_exceeds_the_aligned_block_coupling(family):
     w = StepFunction(0.5 * (values + values.T), np.full(10, 0.1))
     aligned = np.sqrt(np.mean((grid - upsample_step_function(w, 100)) ** 2))
     assert gw_error(w, GraphonSpec(family), resolution=100) <= aligned * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("measure, starts", [(np.full(5, 0.2), 3),
+                                              (np.array([0.3, 0.25, 0.2, 0.15, 0.1]), 4)])
+def test_gw_error_scales_each_distinct_start_once(monkeypatch, measure, starts):
+    """On equal block masses the antitone start is the monotone one, so
+    each proximal step of the scoring solve scales 3 kernels instead of 4;
+    an estimate with unequal masses keeps all 4 starts."""
+    real_scale = gw._scale
+    sizes = []
+
+    def recording_scale(kernels, *args, **kwargs):
+        sizes.append(kernels.shape[0])
+        return real_scale(kernels, *args, **kwargs)
+
+    monkeypatch.setattr(gw, "_scale", recording_scale)
+    w = StepFunction(discretize_graphon(GraphonSpec("abs_diff"), 5), measure)
+    gw_error(w, GraphonSpec("abs_diff"), resolution=40)
+    assert sizes == [starts] * scoring_config().sinkhorn_iters
 
 
 def test_usvt_recovers_constant_density():

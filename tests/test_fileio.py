@@ -1,9 +1,14 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_step_function
-from gwgraphon.core import (DomainError, ParseError, RangeError,
-                            ValidationError)
+from gwgraphon.core import (DomainError, ObservedGraph, ParseError, RangeError,
+                            StepFunction, ValidationError)
 from gwgraphon.fileio import (ResultRow, append_result_row, read_edge_list,
                               read_step_function, read_tu_dataset,
                               write_edge_list, write_heatmap,
@@ -18,6 +23,22 @@ def test_edge_list_round_trip(rng, tmp_path):
     assert back.node_count == graph.node_count
     assert (back.adjacency != graph.adjacency).nnz == 0
     np.testing.assert_allclose(back.measure, graph.measure)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 30), ends=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                                           max_size=80))
+def test_edge_list_round_trip_is_bit_exact(n, ends):
+    """Any simple graph, isolated nodes and repeated or reversed edges
+    included, reads back with the same adjacency and degree measure."""
+    graph = ObservedGraph.from_edges(n, [(u % n, v % n) for u, v in ends if u % n != v % n])
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "g.txt")
+        write_edge_list(graph, path)
+        back = read_edge_list(path)
+    assert back.node_count == graph.node_count
+    assert (back.adjacency != graph.adjacency).nnz == 0
+    np.testing.assert_array_equal(back.measure, graph.measure)
 
 
 def test_edge_list_reader_tolerates_blanks_and_duplicates(tmp_path):
@@ -66,6 +87,45 @@ def test_step_function_round_trip_is_bit_faithful(rng, tmp_path):
     back = read_step_function(path)
     np.testing.assert_array_equal(back.values, w.values)
     np.testing.assert_array_equal(back.measure, w.measure)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8))
+def test_step_function_round_trip_is_bit_exact(data, k):
+    """Any step function, subnormal values and masses spread over six
+    orders of magnitude included, reads back bit for bit."""
+    upper = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    values = np.triu(np.reshape(upper, (k, k)))
+    values = values + np.triu(values, 1).T
+    masses = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k)))
+    w = StepFunction(values, np.sort(masses / masses.sum())[::-1])
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "w.txt")
+        write_step_function(w, path)
+        back = read_step_function(path)
+    np.testing.assert_array_equal(back.values, w.values)
+    np.testing.assert_array_equal(back.measure, w.measure)
+
+
+def test_readers_reject_bytes_that_are_not_utf8(tmp_path):
+    """Every text reader turns undecodable input into a ParseError that
+    names the line of the first bad byte."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"N 3\n0 1\n\xff 2\n")
+    with pytest.raises(ParseError) as err:
+        read_edge_list(bad)
+    assert err.value.line == 3
+    bad.write_bytes(b"\xffK 2\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_step_function(bad)
+    _write_tu_fixture(tmp_path / "tiny")
+    (tmp_path / "tiny" / "tiny_graph_labels.txt").write_bytes(b"7\n\xfe\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_tu_dataset(tmp_path / "tiny")
+    _write_tu_fixture(tmp_path / "tiny")
+    (tmp_path / "tiny" / "tiny_A.txt").write_bytes(b"1, 2\n\x80\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_tu_dataset(tmp_path / "tiny")
 
 
 def test_step_function_reader_rejects_bad_measure(tmp_path):

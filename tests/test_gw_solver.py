@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,32 +243,54 @@ def test_converged_group_stops_at_its_own_pair(rng):
                                                  SCALING_TOL))
 
 
+def _starts(target, restarts):
+    """Distinct restart starts against a target: the antitone start equals
+    the monotone one on equal column masses and is solved once."""
+    equal = np.all(target.measure == target.measure[0])
+    return restarts - 1 if restarts >= 3 and equal else restarts
+
+
 @settings(max_examples=20, deadline=None)
 @given(family=st.sampled_from(FAMILY_NAMES),
        sizes=st.lists(st.integers(3, 40), min_size=1, max_size=4), odd=st.integers(0, 9),
        ks=st.lists(st.integers(2, 8), min_size=2, max_size=2), targets=st.integers(1, 3),
-       pick=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       pick=st.lists(st.integers(0, 2), min_size=4, max_size=4), uniform=st.booleans(),
        restarts=st.sampled_from([1, 4]), polish=st.sampled_from([0, 5]),
        seed=st.integers(0, 2 ** 16))
-def test_mixed_size_batch_matches_single_solves(family, sizes, odd, ks, targets, pick,
+def test_mixed_size_batch_matches_single_solves(family, sizes, odd, ks, targets, pick, uniform,
                                                 restarts, polish, seed):
     """Each space of a batch with mixed sizes, up to 3 targets and its own
     anchor seed gets exactly the plan and value it gets alone, on both
-    marginals. The first two targets share a size but not a measure, and
-    the last three graphs share a size of 3 (mod 4), the tail of a blocked
-    matvec; two of them share the first target, the third takes the last,
-    so one stack holds kernels of several graphs and column marginals."""
+    marginals. The first target has equal block masses, so with 4 restarts
+    it has 3 distinct starts; the second shares its size but not its
+    measure and has 4; the third has another size and either measure. The
+    last four graphs share a size of 3 (mod 4), the tail of a blocked
+    matvec; two of them take the first target, one the second and one the
+    last, so one batch holds spaces of equal node count and target size
+    with 3 and 4 starts, and one stack holds kernels of several graphs and
+    column marginals. Every distinct start is scaled once per step."""
     rng = np.random.default_rng(seed)
     truth = _truth(family, ks[0])
+    third = _truth(family, ks[1])
     pool = [truth, StepFunction(truth.values, np.sort(random_measure(rng, ks[0]))[::-1]),
-            StepFunction(_truth(family, ks[1]).values, np.sort(random_measure(rng, ks[1]))[::-1])]
+            third if uniform else
+            StepFunction(third.values, np.sort(random_measure(rng, ks[1]))[::-1])]
     pool = pool[:targets]
-    sizes = sizes + [4 * odd + 3] * 3
+    sizes = sizes + [4 * odd + 3] * 4
     graphs = [sample_graph(GraphonSpec(family), n, seed=seed + i) for i, n in enumerate(sizes)]
-    owners = [p % targets for p in pick[:len(sizes) - 3]] + [0, 0, targets - 1]
+    owners = [p % targets for p in pick[:len(sizes) - 4]] + [0, 0, min(1, targets - 1),
+                                                             targets - 1]
     seeds = [seed + 7 * i for i in range(len(graphs))]
     cfg = SolverConfig(restarts=restarts, polish_iters=polish)
-    batch = proximal_gw_batch(graphs, [pool[o] for o in owners], cfg, seeds)
+    scaled = []
+
+    def recording_scale(kernels, *args, **kwargs):
+        scaled.append(kernels.shape[0])
+        return _scale(kernels, *args, **kwargs)
+
+    with mock.patch("gwgraphon.gw._scale", recording_scale):
+        batch = proximal_gw_batch(graphs, [pool[o] for o in owners], cfg, seeds)
+    assert sum(scaled) == cfg.sinkhorn_iters * sum(_starts(pool[o], restarts) for o in owners)
     for g, o, s, res in zip(graphs, owners, seeds, batch):
         target = pool[o]
         alone = proximal_gw(g, target, dataclasses.replace(cfg, seed=s))
