@@ -180,15 +180,16 @@ class ObservedGraph:
 
     @classmethod
     def from_edges(cls, node_count, edges, measure=None):
-        """Build from an iterable of (u, v) pairs; both orientations and
-        duplicates collapse to single undirected edges."""
+        """Build from an (E, 2) integer array or an iterable of (u, v)
+        pairs; both orientations and duplicates collapse to single
+        undirected edges."""
         n = int(node_count)
-        pairs = [(int(u), int(v)) for u, v in edges]
-        if pairs:
-            us = np.array([p[0] for p in pairs])
-            vs = np.array([p[1] for p in pairs])
-            rows = np.concatenate([us, vs])
-            cols = np.concatenate([vs, us])
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+            edges = [(int(u), int(v)) for u, v in edges]
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size:
+            rows = np.concatenate([edges[:, 0], edges[:, 1]])
+            cols = np.concatenate([edges[:, 1], edges[:, 0]])
             adj = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
             adj.sum_duplicates()
             adj.data[:] = 1.0

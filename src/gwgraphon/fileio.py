@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import glob
 import os
+import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -36,45 +37,59 @@ def _text_lines(path):
             if line]
 
 
+# edge lines in the plain format, joined by newlines: two ASCII integers of
+# at most 18 digits, which fit int64, separated by blanks
+_EDGE_LINES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}(?:\n|\Z))*")
+
+
+def _edge_from_line(lineno, line, count):
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError("expected an edge 'u v'", line=lineno)
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("edge endpoints are not integers", line=lineno) from None
+    if not (0 <= u < count and 0 <= v < count):
+        raise RangeError("line %d: endpoint outside [0, %d)" % (lineno, count))
+    if u == v:
+        raise ParseError("self-loops are not allowed", line=lineno)
+    return u, v
+
+
 def read_edge_list(path) -> ObservedGraph:
     """Read a graph from text: header "N <count>", then one "u v" edge per
     line with 0-based endpoints.
 
     Blank lines are skipped; duplicate edges and both orientations collapse;
-    the node measure is the floored degree measure.
+    the node measure is the floored degree measure. Edge lines of plain
+    digits are parsed and checked in bulk; any other file, and one that
+    fails the checks, is read line by line, which finds the first bad edge.
 
     :raises ParseError: malformed header/edge or a self-loop, with the
         1-based line number.
     :raises RangeError: an endpoint outside [0, count).
     """
-    count = None
-    pairs: List[Tuple[int, int]] = []
-    for lineno, line in _text_lines(path):
-        parts = line.split()
-        if count is None:
-            if len(parts) != 2 or parts[0] != "N":
-                raise ParseError("expected header 'N <count>'", line=lineno)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise ParseError("node count is not an integer", line=lineno) from None
-            if count < 1:
-                raise ParseError("node count must be positive", line=lineno)
-            continue
-        if len(parts) != 2:
-            raise ParseError("expected an edge 'u v'", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("edge endpoints are not integers", line=lineno) from None
-        if not (0 <= u < count and 0 <= v < count):
-            raise RangeError("line %d: endpoint outside [0, %d)" % (lineno, count))
-        if u == v:
-            raise ParseError("self-loops are not allowed", line=lineno)
-        pairs.append((u, v))
-    if count is None:
+    lines = _text_lines(path)
+    if not lines:
         raise ParseError("missing header 'N <count>'", line=1)
-    return ObservedGraph.from_edges(count, pairs)
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "N":
+        raise ParseError("expected header 'N <count>'", line=lineno)
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise ParseError("node count is not an integer", line=lineno) from None
+    if count < 1:
+        raise ParseError("node count must be positive", line=lineno)
+    body = "\n".join([line for _, line in lines[1:]])
+    if _EDGE_LINES.fullmatch(body):
+        edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+        if not (np.any(edges >= count) or np.any(edges[:, 0] == edges[:, 1])):
+            return ObservedGraph.from_edges(count, edges)
+    return ObservedGraph.from_edges(
+        count, [_edge_from_line(lineno, line, count) for lineno, line in lines[1:]])
 
 
 def write_edge_list(graph: ObservedGraph, path):
@@ -136,7 +151,7 @@ def read_tu_dataset(directory) -> List[Tuple[ObservedGraph, int]]:
     if np.any(sizes == 0):
         raise ParseError("graph indicator skips a graph id (no nodes assigned)", line=1)
 
-    per_graph: List[List[Tuple[int, int]]] = [[] for _ in range(graph_count)]
+    pairs: List[Tuple[int, int]] = []
     for lineno, line in _text_lines(edge_path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
@@ -152,17 +167,20 @@ def read_tu_dataset(directory) -> List[Tuple[ObservedGraph, int]]:
         gu, gv = owner[u - 1], owner[v - 1]
         if gu != gv:
             raise ParseError("edge joins graphs %d and %d" % (gu + 1, gv + 1), line=lineno)
-        per_graph[gu].append((int(local_index[u - 1]), int(local_index[v - 1])))
+        pairs.append((u - 1, v - 1))
 
     labels = _read_int_lines(prefix + "_graph_labels.txt", "graph label")
     if len(labels) != graph_count:
         raise ParseError("expected %d graph labels, found %d" % (graph_count, len(labels)), line=1)
     _, normalized = np.unique(np.asarray(labels), return_inverse=True)
 
-    out = []
-    for g in range(graph_count):
-        out.append((ObservedGraph.from_edges(int(sizes[g]), per_graph[g]), int(normalized[g])))
-    return out
+    # each graph's edges in file order, in local indices
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    graph_of = owner[ends[:, 0]]
+    per_graph = np.split(local_index[ends[np.argsort(graph_of, kind="stable")]],
+                         np.cumsum(np.bincount(graph_of, minlength=graph_count))[:-1])
+    return [(ObservedGraph.from_edges(int(sizes[g]), per_graph[g]), int(normalized[g]))
+            for g in range(graph_count)]
 
 
 def write_step_function(w: StepFunction, path):

@@ -87,6 +87,19 @@ def test_observed_graph_from_edges_collapses_duplicates():
     assert float(dense.max()) == 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_observed_graph_from_edges_takes_an_integer_array(rng, dtype):
+    pairs = [tuple(e) for e in rng.integers(0, 9, (30, 2)).tolist() if e[0] != e[1]]
+    g = ObservedGraph.from_edges(9, pairs)
+    h = ObservedGraph.from_edges(9, np.array(pairs, dtype=dtype))
+    for x, y in ((g.adjacency.data, h.adjacency.data), (g.adjacency.indices, h.adjacency.indices),
+                 (g.adjacency.indptr, h.adjacency.indptr), (g.measure, h.measure)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    empty = ObservedGraph.from_edges(4, np.empty((0, 2), dtype=dtype))
+    assert empty.edge_count == 0
+
+
 def test_observed_graph_measure_length_check():
     with pytest.raises(ValidationError):
         ObservedGraph.from_dense(np.zeros((2, 2)), measure=np.array([1.0]))

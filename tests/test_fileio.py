@@ -80,6 +80,37 @@ def test_edge_list_reader_errors_carry_line_numbers(tmp_path):
     assert err.value.line == 1
 
 
+def _same_graph(g, h):
+    for x, y in ((g.adjacency.data, h.adjacency.data), (g.adjacency.indices, h.adjacency.indices),
+                 (g.adjacency.indptr, h.adjacency.indptr), (g.measure, h.measure)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+def test_edge_list_reader_takes_any_whitespace_and_integer_form(tmp_path):
+    """Lines the bulk parser does not take (signs, leading zeros past 18
+    digits, form feeds) are read line by line into the same graph."""
+    plain = tmp_path / "plain.txt"
+    plain.write_text("N 4\n0 1\n1\t2\n3 0\n")
+    other = tmp_path / "other.txt"
+    other.write_text("N 4\n+0 1\n1\x0c2\n%s3 0\n" % ("0" * 20))
+    _same_graph(read_edge_list(other), read_edge_list(plain))
+    _same_graph(read_edge_list(plain), ObservedGraph.from_edges(4, [(0, 1), (1, 2), (3, 0)]))
+
+
+def test_edge_list_reader_reports_the_first_bad_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("N 3\n0 1\n1 3\n2 2\n0 1 2\n")
+    with pytest.raises(RangeError, match="line 3: endpoint outside"):
+        read_edge_list(path)
+    path.write_text("N 3\n0 1\n1 1\n0 7\n")
+    with pytest.raises(ParseError, match="line 3: self-loops"):
+        read_edge_list(path)
+    path.write_text("N 3\n0 1\n1 x\n0 7\n")
+    with pytest.raises(ParseError, match="line 3: edge endpoints are not integers"):
+        read_edge_list(path)
+
+
 def test_step_function_round_trip_is_bit_faithful(rng, tmp_path):
     w = random_step_function(rng, 7)
     path = tmp_path / "w.txt"
@@ -232,6 +263,8 @@ def test_tu_reader_splits_and_remaps(tmp_path):
     assert g1.node_count == 3 and g1.edge_count == 3
     # labels 7 and 3 remap to 1 and 0 in sorted order
     assert (l0, l1) == (1, 0)
+    _same_graph(g0, ObservedGraph.from_edges(3, [(0, 1), (1, 0), (1, 2)]))
+    _same_graph(g1, ObservedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_tu_reader_rejects_cross_graph_edges(tmp_path):

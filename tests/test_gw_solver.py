@@ -11,6 +11,7 @@ from conftest import random_measure, random_space, random_step_function
 from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
                             ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
+from gwgraphon import gw
 from gwgraphon.graphons import FAMILY_NAMES, GraphonSpec, discretize_graphon
 from gwgraphon.gw import (SCALING_TOL, GwResult, _scale, entropic_ot,
                           gw_cost_offset, gw_distance_exact_small, proximal_gw,
@@ -241,6 +242,85 @@ def test_converged_group_stops_at_its_own_pair(rng):
                                                      SCALING_TOL))
     assert not np.array_equal(alone_slow, _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 5,
                                                  SCALING_TOL))
+
+
+def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+    """The scaling loop without slices or buffers: every half pair is one
+    pass over the whole stack into fresh arrays. _scale must match it bit
+    for bit."""
+    size = kernels.shape[0] // groups
+    plans = np.empty_like(kernels) if groups > 1 else None
+    live = np.arange(kernels.shape[0])
+    a = np.array(mu_rows, dtype=float)
+    b = None
+    kernels_t = kernels.transpose(0, 2, 1)
+    for it in range(int(max_iters)):
+        ka = (kernels_t @ a[:, :, None])[..., 0]
+        if b is not None and it % 4 == 0:
+            res = np.abs(b * ka - mu_cols)
+            if float(res.max()) <= tol:
+                break
+            if plans is not None:
+                done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
+                if done.any():
+                    plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                    keep = ~done
+                    live, kernels = live[keep], kernels[keep]
+                    mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
+                    a, b, ka = a[keep], b[keep], ka[keep]
+                    kernels_t = kernels.transpose(0, 2, 1)
+        b = mu_cols / ka
+        a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
+    if b is None:
+        b = mu_cols / ((kernels_t @ a[:, :, None])[..., 0])
+        a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
+    final = (a[:, :, None] * kernels) * b[:, None, :]
+    if plans is None:
+        return final
+    plans[live] = final
+    return plans
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), count=st.integers(1, 8), n=st.integers(1, 40), k=st.integers(1, 30),
+       cap=st.integers(1, 37), tol=st.sampled_from([SCALING_TOL, -1.0]),
+       slice_kernels=st.integers(1, 9), seed=st.integers(0, 2 ** 16))
+def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, slice_kernels,
+                                                   seed):
+    """Whatever the slice size (one kernel, part of a group, several groups
+    or the whole stack), groups and cap, _scale returns the plans of the
+    plain loop bit for bit. Rank-one groups converge at the first check and
+    leave the stack while the others scale on."""
+    groups = data.draw(st.sampled_from([g for g in range(1, count + 1) if count % g == 0]))
+    rng = np.random.default_rng(seed)
+    kernels = np.exp(-rng.random((count, n, k)) / rng.choice([0.02, 0.2, 1.0], (count, 1, 1)))
+    size = count // groups
+    for g in np.flatnonzero(rng.random(groups) < 0.3):
+        for s in range(g * size, (g + 1) * size):
+            kernels[s] = np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5)
+    mu_rows = np.stack([random_measure(rng, n) for _ in range(count)])
+    mu_cols = np.stack([random_measure(rng, k) for _ in range(count)])
+    expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+    with mock.patch.object(gw, "SLICE_BYTES", slice_kernels * kernels[0].nbytes):
+        got = _scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_stack_past_the_cache_equals_its_one_slice_run(rng):
+    """Criterion 08's round stack, 80 kernels of 200 x 29 with one group
+    each, is cut into slices, and scales exactly as one slice would. The
+    kernels' widths spread their stops from pair 24 to the cap of 500, so
+    the slices are rebuilt many times."""
+    cost = (np.linspace(0.0, 1.0, 200)[:, None] - np.linspace(0.0, 1.0, 29)[None, :]) ** 2
+    kernels = np.exp(-cost[None] / np.geomspace(0.002, 0.2, 80)[:, None, None])
+    np.maximum(kernels, gw.KERNEL_FLOOR, out=kernels)
+    mu_rows = np.stack([random_measure(rng, 200) for _ in range(80)])
+    mu_cols = np.stack([random_measure(rng, 29) for _ in range(80)])
+    assert kernels.nbytes > gw.SLICE_BYTES
+    sliced = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    with mock.patch.object(gw, "SLICE_BYTES", kernels.nbytes + 1):
+        whole = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    assert np.array_equal(sliced, whole)
 
 
 def _starts(target, restarts):
