@@ -17,9 +17,10 @@ from .fileio import (RESULT_COLUMNS, ResultRow, append_result_row,
 from .graphons import (EASY_FAMILIES, FAMILY_NAMES, GRID_FAMILY,
                        HARD_FAMILIES, GraphonSpec, discretize_graphon,
                        evaluate_graphon)
-from .gw import (GwResult, entropic_ot, gw_cost_offset,
-                 gw_distance_exact_small, proximal_gw, sinkhorn_projection)
+from .gw import (GwResult, entropic_ot, gw_cost_offset, proximal_gw,
+                 sinkhorn_projection)
 from .mixture import MixtureModel, assign_clusters, estimate_mixture
+from .oracle import gw_distance_exact_small
 from .sampling import (derive_graph_seed, estimate_node_measure, sample_graph,
                        sample_population)
 from .smoothed import (SmoothedSolveMode, build_laplacian_filter,

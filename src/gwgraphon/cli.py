@@ -23,10 +23,10 @@ from .core import MIN_NODES, GraphonError, ParseError, SolverConfig, ValidationE
 from .evaluation import (clustering_accuracy, gw_error, mse_error,
                          naive_average_estimate, scoring_config,
                          upsample_step_function, usvt_estimate)
-from .fileio import (ResultRow, _read_int_lines, _text_lines, append_result_row,
-                     read_edge_list, read_step_function, read_tu_dataset,
-                     write_edge_list, write_heatmap, write_results_csv,
-                     write_step_function)
+from .fileio import (ResultRow, _read_int_lines, _read_text, _text_lines,
+                     append_result_row, read_edge_list, read_step_function,
+                     read_tu_dataset, write_edge_list, write_heatmap,
+                     write_results_csv, write_step_function)
 from .graphons import FAMILY_NAMES, HARD_FAMILIES, GraphonSpec
 from .gw import proximal_gw_batch
 from .mixture import assign_clusters, estimate_mixture
@@ -65,7 +65,7 @@ def _parse_nodes(text):
 
 
 def _load_grid(path):
-    lines = _text_lines(path)
+    lines = _text_lines(_read_text(path))
     if lines and lines[0][1].startswith("K "):
         w = read_step_function(path)
         if not np.allclose(w.measure, 1.0 / w.partition_count, atol=1e-9):

@@ -17,9 +17,9 @@ from .core import (DomainError, ObservedGraph, ParseError, RangeError,
                    StepFunction, ValidationError)
 
 
-def _text_lines(path):
-    """(1-based line number, stripped text) of every non-blank line of a
-    UTF-8 text file, split at the line breaks text mode splits at.
+def _read_text(path):
+    """The text of a UTF-8 file, with every line break that text mode
+    splits at turned into a newline.
 
     :raises ParseError: a byte sequence that is not UTF-8, with the line it
         is on.
@@ -32,13 +32,18 @@ def _text_lines(path):
         raise ParseError("%s is not UTF-8 text (byte 0x%02x)"
                          % (os.path.basename(path), data[exc.start]),
                          line=data.count(b"\n", 0, exc.start) + 1) from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _text_lines(text):
+    """(1-based line number, stripped text) of every non-blank line."""
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1)
             if line]
 
 
-# edge lines in the plain format, joined by newlines: two ASCII integers of
-# at most 18 digits, which fit int64, separated by blanks
+# the edge lines after the header as write_edge_list writes them: two ASCII
+# integers of at most 18 digits, which fit int64, separated by blanks, one
+# pair a line, with no blank line and nothing around the pair
 _EDGE_LINES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}(?:\n|\Z))*")
 
 
@@ -57,23 +62,7 @@ def _edge_from_line(lineno, line, count):
     return u, v
 
 
-def read_edge_list(path) -> ObservedGraph:
-    """Read a graph from text: header "N <count>", then one "u v" edge per
-    line with 0-based endpoints.
-
-    Blank lines are skipped; duplicate edges and both orientations collapse;
-    the node measure is the floored degree measure. Edge lines of plain
-    digits are parsed and checked in bulk; any other file, and one that
-    fails the checks, is read line by line, which finds the first bad edge.
-
-    :raises ParseError: malformed header/edge or a self-loop, with the
-        1-based line number.
-    :raises RangeError: an endpoint outside [0, count).
-    """
-    lines = _text_lines(path)
-    if not lines:
-        raise ParseError("missing header 'N <count>'", line=1)
-    lineno, header = lines[0]
+def _node_count(header, lineno):
     parts = header.split()
     if len(parts) != 2 or parts[0] != "N":
         raise ParseError("expected header 'N <count>'", line=lineno)
@@ -83,11 +72,34 @@ def read_edge_list(path) -> ObservedGraph:
         raise ParseError("node count is not an integer", line=lineno) from None
     if count < 1:
         raise ParseError("node count must be positive", line=lineno)
-    body = "\n".join([line for _, line in lines[1:]])
-    if _EDGE_LINES.fullmatch(body):
+    return count
+
+
+def read_edge_list(path) -> ObservedGraph:
+    """Read a graph from text: header "N <count>", then one "u v" edge per
+    line with 0-based endpoints.
+
+    Blank lines are skipped; duplicate edges and both orientations collapse;
+    the node measure is the floored degree measure. A file laid out as
+    write_edge_list writes it, the header on line 1 and edge lines of plain
+    digits, is parsed and checked in bulk; any other file, and one that
+    fails the checks, is read line by line, which finds the first bad edge.
+
+    :raises ParseError: malformed header/edge or a self-loop, with the
+        1-based line number.
+    :raises RangeError: an endpoint outside [0, count).
+    """
+    text = _read_text(path)
+    head, _, body = text.partition("\n")
+    if head.strip() and _EDGE_LINES.fullmatch(body):
+        count = _node_count(head, 1)
         edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
         if not (np.any(edges >= count) or np.any(edges[:, 0] == edges[:, 1])):
             return ObservedGraph.from_edges(count, edges)
+    lines = _text_lines(text)
+    if not lines:
+        raise ParseError("missing header 'N <count>'", line=1)
+    count = _node_count(lines[0][1], lines[0][0])
     return ObservedGraph.from_edges(
         count, [_edge_from_line(lineno, line, count) for lineno, line in lines[1:]])
 
@@ -105,7 +117,7 @@ def write_edge_list(graph: ObservedGraph, path):
 
 def _read_int_lines(path, what):
     values = []
-    for lineno, line in _text_lines(path):
+    for lineno, line in _text_lines(_read_text(path)):
         try:
             values.append(int(line))
         except ValueError:
@@ -152,7 +164,7 @@ def read_tu_dataset(directory) -> List[Tuple[ObservedGraph, int]]:
         raise ParseError("graph indicator skips a graph id (no nodes assigned)", line=1)
 
     pairs: List[Tuple[int, int]] = []
-    for lineno, line in _text_lines(edge_path):
+    for lineno, line in _text_lines(_read_text(edge_path)):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError("expected an edge 'u, v'", line=lineno)
@@ -211,7 +223,7 @@ def read_step_function(path) -> StepFunction:
     :raises ValidationError: row/column count mismatch, a measure not summing
         to 1 within 1e-9, or any other step-function invariant violation.
     """
-    lines = _text_lines(path)
+    lines = _text_lines(_read_text(path))
     if not lines:
         raise ParseError("empty step-function file", line=1)
     head_no, head = lines[0]

@@ -1,14 +1,14 @@
 """Gromov-Wasserstein transport machinery.
 
-Cost offsets, the proximal-point solver for the squared 2-order GW distance,
-plain entropic optimal transport, and a brute-force oracle for tiny instances.
+Cost offsets, the proximal-point solver for the squared 2-order GW distance
+with its restart anchors and descent polish, the objective every plan is
+scored by, and plain entropic optimal transport. The brute-force oracle
+for tiny instances lives in oracle.py, which builds on this module.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,11 +65,9 @@ def _as_space(obj):
     return matrix, measure
 
 
-def _squared_apply(matrix, vec):
-    # (matrix ⊙ matrix)ᵀ @ vec, for dense or sparse input
-    if sp.issparse(matrix):
-        return (matrix.multiply(matrix)).T @ vec
-    return (matrix * matrix).T @ vec
+def _squared(matrix):
+    # matrix ⊙ matrix, for dense or sparse input
+    return matrix.multiply(matrix) if sp.issparse(matrix) else matrix * matrix
 
 
 def gw_cost_offset(a, mu_a, w, mu_w):
@@ -88,12 +86,7 @@ def gw_cost_offset(a, mu_a, w, mu_w):
         raise DomainError("cost offset needs square matrices")
     if mu_a.size != a.shape[0] or mu_w.size != w.shape[0]:
         raise DomainError("measure lengths do not match matrix sizes")
-    if sp.issparse(a):
-        left = (a.multiply(a)) @ mu_a
-    else:
-        left = (a * a) @ mu_a
-    right = _squared_apply(w, mu_w)
-    return left[:, None] + right[None, :]
+    return (_squared(a) @ mu_a)[:, None] + (_squared(w).T @ mu_w)[None, :]
 
 
 def _slices(kernels, *stacks):
@@ -194,6 +187,19 @@ def _round_feasible(plan, mu_row, mu_col):
     return plan
 
 
+def _marginals(shape, mu_row, mu_col):
+    """mu_row and mu_col flattened to float vectors, checked to be strictly
+    positive and to match the (rows, columns) shape of a plan."""
+    mu_row = np.asarray(mu_row, dtype=float).ravel()
+    mu_col = np.asarray(mu_col, dtype=float).ravel()
+    if shape != (mu_row.size, mu_col.size):
+        raise DomainError("shape %s does not match marginal lengths (%d, %d)"
+                          % (shape, mu_row.size, mu_col.size))
+    if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
+        raise DomainError("marginals must be strictly positive")
+    return mu_row, mu_col
+
+
 def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
     """Scale a strictly positive kernel onto the prescribed marginals.
 
@@ -207,13 +213,7 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
         raise NumericError("kernel contains non-finite entries")
     if kernel.size == 0 or float(kernel.min()) <= 0.0:
         raise DomainError("kernel entries must be strictly positive")
-    mu_row = np.asarray(mu_row, dtype=float).ravel()
-    mu_col = np.asarray(mu_col, dtype=float).ravel()
-    if kernel.shape != (mu_row.size, mu_col.size):
-        raise DomainError("kernel shape %s does not match marginal lengths (%d, %d)"
-                          % (kernel.shape, mu_row.size, mu_col.size))
-    if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
-        raise DomainError("marginals must be strictly positive")
+    mu_row, mu_col = _marginals(kernel.shape, mu_row, mu_col)
     if int(inner_iters) < 1:
         raise DomainError("inner_iters must be at least 1")
     plan = _scale(kernel[None], mu_row[None], mu_col[None], int(inner_iters), 1e-12)[0]
@@ -268,27 +268,6 @@ def _restart_anchors(mu_row, mu_col, restarts, seed):
     return anchors, raw
 
 
-def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
-    """Batched projected gradient descent with exact line search on the
-    quadratic transport objective; a and b must be dense. Stops early once
-    no plan in the batch moves by more than stop_tol."""
-    step = 1.0 / (4.0 * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2) + 1.0) ** 2)
-    for _ in range(int(iters)):
-        atb = (a @ plans) @ b.T
-        grad = _batch_gradient(plans, a, b, atb)
-        target = _project_plans(plans - step * grad, mu_row, mu_col, 10)
-        delta = target - plans
-        slope = (grad * delta).sum(axis=(1, 2))
-        curv = _quadratic_term(delta, a, b)
-        safe = np.where(curv > 1e-18, curv, 1.0)
-        t = np.where(curv > 1e-18, np.clip(-slope / (2.0 * safe), 0.0, 1.0), 1.0)
-        move = t[:, None, None] * delta
-        plans = plans + move
-        if float(np.abs(move).max()) <= stop_tol:
-            break
-    return plans
-
-
 def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) -> GwResult:
     """Proximal-point solver for the squared 2-order GW distance.
 
@@ -324,11 +303,10 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
                       seeds: Optional[Sequence[int]] = None) -> List[GwResult]:
     """proximal_gw of every space against its own target, in one solve.
 
-    targets holds one target per space; a target object repeated in the
-    list is prepared once. seeds, when given, holds one anchor seed per
-    space in place of cfg.seed (the seed only draws the random anchors of
-    cfg.restarts >= 4). Each distinct start is solved once, so a space
-    against a target with equal block masses has one start fewer than
+    targets holds one target per space. seeds, when given, holds one anchor
+    seed per space in place of cfg.seed (the seed only draws the random
+    anchors of cfg.restarts >= 4). Each distinct start is solved once, so a
+    space against a target with equal block masses has one start fewer than
     cfg.restarts >= 3 asks for. Spaces that share their start count, node
     count and target size share one stack of (space, restart) kernels in
     each proximal step, whichever targets they have. Nothing is padded:
@@ -348,14 +326,12 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     if len(targets) != len(sides) or len(seeds) != len(sides):
         raise DomainError("got %d spaces, %d targets and %d seeds"
                           % (len(sides), len(targets), len(seeds)))
-    prepared = {}
+    cols = []
     for target in targets:
-        if id(target) not in prepared:
-            mat_w, mu_w = _as_space(target)
-            if sp.issparse(mat_w):
-                mat_w = mat_w.toarray()
-            prepared[id(target)] = (mat_w, mu_w, np.ascontiguousarray(mat_w.T))
-    cols = [prepared[id(target)] for target in targets]
+        mat_w, mu_w = _as_space(target)
+        if sp.issparse(mat_w):
+            mat_w = mat_w.toarray()
+        cols.append((mat_w, mu_w, np.ascontiguousarray(mat_w.T)))
     inv_beta = 1.0 / cfg.beta
     offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
                for (mat_a, mu_a), (mat_w, mu_w, _) in zip(sides, cols)]
@@ -373,8 +349,7 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
         for members, shape, mu_rows, mu_cols in classes:
             kernels = np.empty((len(members),) + shape)
             for g, out in zip(members, kernels):
-                atp = np.stack([sides[g][0] @ plan for plan in plans[g]])
-                logk = (-inv_beta) * (offsets[g][None] - 2.0 * (atp @ cols[g][2]))
+                logk = (-inv_beta) * _costs(sides[g][0], cols[g][2], offsets[g], plans[g])
                 logk -= logk.max(axis=2, keepdims=True)
                 np.exp(logk, out=out)
                 out *= plans[g]
@@ -402,105 +377,43 @@ def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_it
         plans = np.concatenate([plans, np.stack(polished)])
     if raw:
         plans = np.concatenate([plans, np.stack(raw)])
-    atp = np.stack([mat_a @ plan for plan in plans])
-    vals = ((offset[None] - 2.0 * (atp @ w_t)) * plans).sum(axis=(1, 2))
+    vals = _objective(mat_a, w_t, offset, plans)
     if not np.all(np.isfinite(vals)):
         raise NumericError("objective evaluated to a non-finite value")
     pick = int(np.argmin(vals))
     return GwResult(TransportPlan(plans[pick], mu_a, mu_w), max(float(vals[pick]), 0.0))
 
 
-def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
-    """Entropically regularized optimal transport: Sinkhorn on exp(-cost/beta).
-
-    Scales until the column residual drops below SCALING_TOL (at most 10000
-    pairs), then rounds the plan exactly feasible; raises NumericError if the
-    scalings diverge.
-    """
-    if float(beta) <= 0.0:
-        raise DomainError("beta must be positive")
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.size == 0:
-        raise DomainError("cost must be a nonempty 2-dimensional matrix")
-    if not np.all(np.isfinite(cost)):
-        raise DomainError("cost must be finite")
-    mu_row = np.asarray(mu_row, dtype=float).ravel()
-    mu_col = np.asarray(mu_col, dtype=float).ravel()
-    if cost.shape != (mu_row.size, mu_col.size):
-        raise DomainError("cost shape %s does not match marginal lengths (%d, %d)"
-                          % (cost.shape, mu_row.size, mu_col.size))
-    if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
-        raise DomainError("marginals must be strictly positive")
-    logk = cost * (-1.0 / float(beta))
-    logk -= logk.max(axis=1, keepdims=True)
-    kernel = np.exp(logk)
-    np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0]
-    plan = _round_feasible(plan, mu_row, mu_col)
-    return TransportPlan(plan, mu_row, mu_col)
+def _costs(mat_a, w_t, offset, plans):
+    """The cost matrix offset - 2·A·T·Wᵀ at each plan T of a stack, with
+    w_t = Wᵀ and offset from gw_cost_offset; mat_a may be sparse."""
+    return offset[None] - 2.0 * (np.stack([mat_a @ plan for plan in plans]) @ w_t)
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _objective(mat_a, w_t, offset, plans):
+    """The quadratic objective <cost at T, T> of each plan T in a stack."""
+    return (_costs(mat_a, w_t, offset, plans) * plans).sum(axis=(1, 2))
 
 
-def _is_spanning_tree(subset, edges, n, m):
-    parent = list(range(n + m))
-    for e in subset:
-        i, j = edges[e]
-        ri, rj = _find(parent, i), _find(parent, n + j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
-
-
-@lru_cache(maxsize=None)
-def _tree_bases(n, m):
-    """Inverse basis matrices for every vertex basis of the transport polytope.
-
-    Vertices of the polytope are basic feasible solutions of the flow problem
-    on the complete bipartite graph; the bases are exactly its spanning trees.
-    """
-    edges = [(i, j) for i in range(n) for j in range(m)]
-    cons = np.zeros((n + m, n * m))
-    for e, (i, j) in enumerate(edges):
-        cons[i, e] = 1.0
-        cons[n + j, e] = 1.0
-    cons = cons[:-1]  # the last column-sum constraint is redundant
-    rank = n + m - 1
-    trees = []
-    inverses = []
-    for subset in itertools.combinations(range(n * m), rank):
-        if not _is_spanning_tree(subset, edges, n, m):
-            continue
-        trees.append(subset)
-        inverses.append(np.linalg.inv(cons[:, subset]))
-    return np.array(trees, dtype=np.int64), np.array(inverses)
-
-
-def _polytope_vertices(n, m, mu_a, mu_b):
-    trees, inverses = _tree_bases(n, m)
-    demand = np.concatenate([mu_a, mu_b[:-1]])
-    flows = inverses @ demand
-    feasible = flows.min(axis=1) >= -1e-10
-    flows = np.maximum(flows[feasible], 0.0)
-    trees = trees[feasible]
-    verts = np.zeros((trees.shape[0], n * m))
-    rows = np.repeat(np.arange(trees.shape[0]), n + m - 1)
-    verts[rows, trees.ravel()] = flows.ravel()
-    # degenerate bases repeat vertices; keep one copy of each
-    verts = np.unique(np.round(verts, 12), axis=0)
-    return verts.reshape(-1, n, m)
-
-
-def _batch_objective(plans, a, b, offset):
-    atb = (a @ plans) @ b.T
-    vals = ((offset[None] - 2.0 * atb) * plans).sum(axis=(1, 2))
-    return vals, atb
+def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
+    """Batched projected gradient descent with exact line search on the
+    quadratic transport objective; a and b must be dense. Stops early once
+    no plan in the batch moves by more than stop_tol."""
+    step = 1.0 / (4.0 * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2) + 1.0) ** 2)
+    for _ in range(int(iters)):
+        atb = (a @ plans) @ b.T
+        grad = _batch_gradient(plans, a, b, atb)
+        target = _project_plans(plans - step * grad, mu_row, mu_col, 10)
+        delta = target - plans
+        slope = (grad * delta).sum(axis=(1, 2))
+        curv = _quadratic_term(delta, a, b)
+        safe = np.where(curv > 1e-18, curv, 1.0)
+        t = np.where(curv > 1e-18, np.clip(-slope / (2.0 * safe), 0.0, 1.0), 1.0)
+        move = t[:, None, None] * delta
+        plans = plans + move
+        if float(np.abs(move).max()) <= stop_tol:
+            break
+    return plans
 
 
 def _batch_gradient(plans, a, b, atb):
@@ -538,140 +451,25 @@ def _quadratic_term(deltas, a, b):
     return term
 
 
-def _face_minimum(plan, a, b, mu_a, mu_b, offset, support_tol):
-    """Objective value reached by an exact active-set descent from the plan,
-    or None when the starting support cannot carry the marginals.
+def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
+    """Entropically regularized optimal transport: Sinkhorn on exp(-cost/beta).
 
-    Within the face spanned by the current support the marginal constraints
-    are affine, so the stationary point is a small linear solve; a ratio
-    test toward it either lands on it exactly or hits the boundary, where
-    the vanishing entry leaves the support and the solve repeats. This
-    finishes the tail that projected gradient descent only crawls along.
+    Scales until the column residual drops below SCALING_TOL (at most 10000
+    pairs), then rounds the plan exactly feasible; raises NumericError if the
+    scalings diverge.
     """
-    # imported here, its only user, so importing the package does not pay for it
-    import scipy.linalg
-
-    n, m = plan.shape
-    nm = n * m
-    kron = np.kron(a, b)
-    lin = offset.ravel()
-    cons = np.zeros((n + m - 1, nm))
-    for e in range(nm):
-        i, k = divmod(e, m)
-        cons[i, e] = 1.0
-        if k < m - 1:
-            cons[n + k, e] = 1.0
-    rhs_eq = np.concatenate([mu_a, mu_b[:-1]])
-    idx = np.flatnonzero(plan.ravel() > support_tol)
-    x = plan.ravel()[idx]
-    best_flat = None
-    best_val = np.inf
-    for _ in range(2 * nm + 2):
-        eq = cons[:, idx]
-        x = x + np.linalg.lstsq(eq, rhs_eq - eq @ x, rcond=None)[0]
-        if float(np.abs(eq @ x - rhs_eq).max()) > 1e-9 or np.any(x < -1e-9):
-            break
-        quad = kron[np.ix_(idx, idx)]
-        val = float(lin[idx] @ x - 2.0 * (x @ quad @ x))
-        if val < best_val:
-            best_val = val
-            best_flat = (idx, np.maximum(x, 0.0))
-        null = scipy.linalg.null_space(eq)
-        if null.shape[1] == 0:
-            break
-        grad = lin[idx] - 4.0 * (quad @ x)
-        u = np.linalg.lstsq(4.0 * (null.T @ quad @ null), null.T @ grad, rcond=None)[0]
-        d = null @ u
-        if float(np.abs(d).max()) < 1e-13:
-            break
-        slope = float(grad @ d)
-        curv = float(-2.0 * (d @ quad @ d))
-        falling = d < -1e-16
-        if not falling.any():
-            break
-        steps = [float((x[falling] / -d[falling]).min())]
-        if curv > 1e-18:
-            t_int = -slope / (2.0 * curv)
-            if 0.0 < t_int < steps[0]:
-                steps.append(t_int)
-        gains = [slope * t + curv * t * t for t in steps]
-        pick = int(np.argmin(gains))
-        if gains[pick] >= -1e-15:
-            break
-        x = np.maximum(x + steps[pick] * d, 0.0)
-        keep = x > 1e-12
-        if not keep.all():
-            idx = idx[keep]
-            x = x[keep]
-            if idx.size == 0:
-                break
-    if best_flat is None:
-        return None
-    flat = np.zeros(nm)
-    flat[best_flat[0]] = best_flat[1]
-    candidate = _round_feasible(flat.reshape(n, m), mu_a, mu_b)
-    return float(np.sum((offset - 2.0 * ((a @ candidate) @ b.T)) * candidate))
-
-
-def gw_distance_exact_small(a, b, mu_a, mu_b):
-    """Global minimum of the squared 2-order GW objective on a tiny instance.
-
-    Enumerates every vertex of the transport polytope, refines with
-    multi-start projected gradient descent under exact line search, and
-    polishes the best candidates by solving the stationarity system on
-    their active faces. Meant as a test oracle; requires n·m <= 16 and
-    symmetric inputs.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DomainError("inputs must be square matrices")
-    n, m = a.shape[0], b.shape[0]
-    if n * m > 16:
-        raise DomainError("instance too large for exact search (n*m = %d > 16)" % (n * m))
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-9 or float(np.abs(b - b.T).max(initial=0.0)) > 1e-9:
-        raise DomainError("inputs must be symmetric")
-    mu_a = np.asarray(mu_a, dtype=float).ravel()
-    mu_b = np.asarray(mu_b, dtype=float).ravel()
-    if mu_a.size != n or mu_b.size != m:
-        raise DomainError("measure lengths do not match matrix sizes")
-    if np.any(mu_a <= 0.0) or np.any(mu_b <= 0.0):
-        raise DomainError("measures must be strictly positive")
-    if abs(float(mu_a.sum()) - 1.0) > 1e-9 or abs(float(mu_b.sum()) - 1.0) > 1e-9:
-        raise DomainError("measures must sum to 1")
-
-    offset = gw_cost_offset(a, mu_a, b, mu_b)
-    verts = _polytope_vertices(n, m, mu_a, mu_b)
-    vert_vals, _ = _batch_objective(verts, a, b, offset)
-    best = float(vert_vals.min())
-
-    rng = np.random.default_rng(0)
-    anchors = np.stack(_restart_anchors(mu_a, mu_b, 3, 0)[0])
-    seeds = [anchors, verts, rng.random((33, n, m))]
-    plans = _project_plans(np.concatenate(seeds, axis=0), mu_a, mu_b, 60)
-    seen = set()
-    for block in range(4):
-        plans = _descend_plans(plans, a, b, mu_a, mu_b, 40)
-        rounded = np.maximum(_project_plans(plans, mu_a, mu_b, 30), 0.0)
-        vals, _ = _batch_objective(rounded, a, b, offset)
-        order = np.argsort(vals)
-        top = _round_feasible(rounded[order[0]], mu_a, mu_b)
-        best = min(best, float(np.sum((offset - 2.0 * ((a @ top) @ b.T)) * top)))
-        for p in order[:8]:
-            key = rounded[p].round(7).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            candidate = _round_feasible(rounded[p], mu_a, mu_b)
-            supports = set()
-            for tol in (1e-3, 1e-8):
-                support = np.flatnonzero(candidate.ravel() > tol).tobytes()
-                if support in supports:
-                    continue
-                supports.add(support)
-                val = _face_minimum(candidate, a, b, mu_a, mu_b, offset, tol)
-                if val is not None:
-                    best = min(best, val)
-        if block == 0 and plans.shape[0] > 128:
-            plans = plans[order[:128]]
-    return max(best, 0.0)
+    if float(beta) <= 0.0:
+        raise DomainError("beta must be positive")
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.size == 0:
+        raise DomainError("cost must be a nonempty 2-dimensional matrix")
+    if not np.all(np.isfinite(cost)):
+        raise DomainError("cost must be finite")
+    mu_row, mu_col = _marginals(cost.shape, mu_row, mu_col)
+    logk = cost * (-1.0 / float(beta))
+    logk -= logk.max(axis=1, keepdims=True)
+    kernel = np.exp(logk)
+    np.maximum(kernel, KERNEL_FLOOR, out=kernel)
+    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0]
+    plan = _round_feasible(plan, mu_row, mu_col)
+    return TransportPlan(plan, mu_row, mu_col)

@@ -54,10 +54,9 @@ class MixtureModel:
         return len(self.components)
 
 
-def _derived_cfg(cfg: SolverConfig, tag: int, index: int) -> SolverConfig:
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(tag, index))
-    seed = int(seq.generate_state(1, np.uint64)[0])
-    return dataclasses.replace(cfg, seed=seed)
+def _derived_seed(seed: int, tag: int, index: int) -> int:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
@@ -115,7 +114,7 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     shuffle = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     order = shuffle.permutation(m)
-    shards = [([graphs[gi] for gi in order[ci::c]], _derived_cfg(cfg, 3, ci).seed)
+    shards = [([graphs[gi] for gi in order[ci::c]], _derived_seed(cfg.seed, 3, ci))
               for ci in range(c)]
     comps = [(seeded.values, seeded.measure)
              for seeded in _alternate(shards, cfg, k, barycenter_update)]

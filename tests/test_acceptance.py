@@ -19,8 +19,9 @@ from gwgraphon.core import SolverConfig
 from gwgraphon.evaluation import (clustering_accuracy, gw_error,
                                   naive_average_estimate, usvt_estimate)
 from gwgraphon.graphons import GraphonSpec
-from gwgraphon.gw import entropic_ot, gw_distance_exact_small, proximal_gw
+from gwgraphon.gw import entropic_ot, proximal_gw
 from gwgraphon.mixture import assign_clusters, estimate_mixture
+from gwgraphon.oracle import gw_distance_exact_small
 from gwgraphon.sampling import sample_population
 from gwgraphon.smoothed import (SmoothedSolveMode, _solve_closed_form,
                                 _solve_iterative, build_laplacian_filter,

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,9 @@ from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
 from gwgraphon import gw
 from gwgraphon.graphons import FAMILY_NAMES, GraphonSpec, discretize_graphon
 from gwgraphon.gw import (SCALING_TOL, GwResult, _scale, entropic_ot,
-                          gw_cost_offset, gw_distance_exact_small, proximal_gw,
-                          proximal_gw_batch, sinkhorn_projection)
+                          gw_cost_offset, proximal_gw, proximal_gw_batch,
+                          sinkhorn_projection)
+from gwgraphon.oracle import gw_distance_exact_small
 from gwgraphon.sampling import sample_graph
 
 STRONG = SolverConfig(sinkhorn_iters=10, restarts=8, polish_iters=80)
@@ -136,6 +138,63 @@ def test_exact_oracle_validation(rng):
         gw_distance_exact_small(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), mu2, mu2)
     with pytest.raises(DomainError):
         gw_distance_exact_small(np.zeros((2, 2)), np.zeros((2, 2)), [0.5, 0.6], mu2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_exact_oracle_is_symmetric_and_relabelling_invariant(n, m, seed):
+    """The oracle's value does not depend on which space comes first, nor
+    on the order of either space's nodes when their measure moves with
+    them."""
+    rng = np.random.default_rng(seed)
+    a, mu_a = random_space(rng, n)
+    b, mu_b = random_space(rng, m)
+    base = gw_distance_exact_small(a, b, mu_a, mu_b)
+    assert gw_distance_exact_small(b, a, mu_b, mu_a) == pytest.approx(base, abs=1e-9)
+    pa, pb = rng.permutation(n), rng.permutation(m)
+    moved = gw_distance_exact_small(a[np.ix_(pa, pa)], b[np.ix_(pb, pb)], mu_a[pa], mu_b[pb])
+    assert moved == pytest.approx(base, abs=1e-9)
+
+
+def _feasible_plans(rng, mu_row, mu_col, count):
+    """count random couplings of the two marginals: convex combinations of
+    the product coupling and two northwest-corner couplings taken in random
+    row and column orders."""
+    plans = []
+    for _ in range(count):
+        weights = rng.dirichlet(np.ones(3))
+        plan = weights[0] * np.outer(mu_row, mu_col)
+        for weight in weights[1:]:
+            rows, cols = rng.permutation(mu_row.size), rng.permutation(mu_col.size)
+            corner = np.zeros_like(plan)
+            corner[np.ix_(rows, cols)] = gw._northwest_corner(mu_row[rows], mu_col[cols])
+            plan += weight * corner
+        plans.append(plan)
+    return np.stack(plans)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), count=st.integers(1, 4),
+       sparse=st.booleans(), restarts=st.sampled_from([1, 4]), seed=st.integers(0, 2 ** 16))
+def test_objective_is_the_four_index_sum(n, k, count, sparse, restarts, seed):
+    """On feasible plans the solver's objective is the GW sum
+    sum_ijkl (a_ik - w_jl)^2 T_ij T_kl, for a dense or CSR space and a
+    target, neither of them symmetric, so that the sum tells W from its
+    transpose; proximal_gw reports it, floored at zero, for the plan it
+    returns."""
+    rng = np.random.default_rng(seed)
+    a, mu_a = rng.random((n, n)) * (rng.random((n, n)) < 0.5), random_measure(rng, n)
+    w, mu_w = rng.random((k, k)), random_measure(rng, k)
+    mat_a = sp.csr_matrix(a) if sparse else a
+    w_t = np.ascontiguousarray(w.T)
+    offset = gw_cost_offset(mat_a, mu_a, w, mu_w)
+    plans = _feasible_plans(rng, mu_a, mu_w, count)
+    diff = a[:, None, :, None] - w[None, :, None, :]
+    for value, plan in zip(gw._objective(mat_a, w_t, offset, plans), plans):
+        assert value == pytest.approx(np.einsum("ijkl,ij,kl->", diff ** 2, plan, plan), rel=1e-12)
+    res = proximal_gw((mat_a, mu_a), (w, mu_w), SolverConfig(restarts=restarts))
+    plan = res.plan.coupling
+    assert res.distance_sq == max(float(gw._objective(mat_a, w_t, offset, plan[None])[0]), 0.0)
 
 
 def test_sinkhorn_projection_hits_marginals(rng):

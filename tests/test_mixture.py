@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,8 @@ def test_lockstep_seeding_equals_separate_shard_fits(monkeypatch, restarts):
     assert sorted(id(g) for shard, _ in shards for g in shard) == sorted(id(g) for g in graphs)
     k = select_partition_count([g.node_count for g in graphs])
     for ci, ((shard, _), got) in enumerate(zip(shards, seeded)):
-        alone = estimate_gwb(shard, mixture._derived_cfg(cfg, 3, ci), k=k)
+        shard_cfg = dataclasses.replace(cfg, seed=mixture._derived_seed(cfg.seed, 3, ci))
+        alone = estimate_gwb(shard, shard_cfg, k=k)
         np.testing.assert_array_equal(got.values, alone.values)
         np.testing.assert_array_equal(got.measure, alone.measure)
 
