@@ -22,6 +22,14 @@ KERNEL_FLOOR = 1e-300
 SCALING_TOL = 1e-9
 # kernel bytes of one cache-resident slice of a scaling stack: 3/4 of a 2 MiB L2
 SLICE_BYTES = 3 << 19
+# Sinkhorn pairs before a small target's scaling turns to Newton steps
+SINKHORN_WARMUP = 32
+# widest target (K) whose scaling ends in semi-dual Newton steps
+NEWTON_MAX_K = 160
+# Newton steps before an unconverged group falls back to Sinkhorn
+NEWTON_ITERS = 100
+# step halvings tried by one Newton line search
+ARMIJO_TRIALS = 30
 
 SpaceLike = Union[ObservedGraph, StepFunction, Tuple]
 
@@ -101,17 +109,128 @@ def _slices(kernels, *stacks):
 
 
 def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
-    """Alternating Sinkhorn scalings of a batch of positive kernels.
+    """Scale a batch of positive kernels onto their marginals.
 
     kernels has shape (S, N, K), mu_rows (S, N) and mu_cols (S, K): each
-    kernel has its own row and column marginal. Runs at most max_iters
-    scaling pairs. Row sums are exact because the row scaling runs last.
-    Every 4th pair the column residuals are checked: the stack is split
-    into `groups` equal runs of consecutive kernels, and a group whose
-    residuals are all within tol is stored and dropped from the scaling,
-    so it stops at the same pair as it would alone. A single kernel is
-    passed as kernel[None] with its marginals as mu[None], and its plan
-    read back as [0].
+    kernel has its own row and column marginal. The stack is split into
+    `groups` equal runs of consecutive kernels, and a group stops as soon
+    as all its column residuals are within tol, so every group gets the
+    plans it would get alone, bit for bit. Row sums are exact to float
+    precision. A single kernel is passed as kernel[None] with its marginals
+    as mu[None], and its plan read back as [0].
+
+    Targets of at most NEWTON_MAX_K columns, with more than SINKHORN_WARMUP
+    pairs allowed, run SINKHORN_WARMUP Sinkhorn pairs and then semi-dual
+    Newton steps (_newton) on the groups still above tol. A group that
+    Newton gives up on, at the latest after NEWTON_ITERS steps, goes on
+    with Sinkhorn from its current plan for the rest of the max_iters
+    pairs. Wider targets, where Newton's N·K² work per step stops paying,
+    run Sinkhorn alone, for at most max_iters pairs.
+    """
+    max_iters = max(int(max_iters), 1)
+    if kernels.shape[2] > NEWTON_MAX_K or max_iters <= SINKHORN_WARMUP:
+        return _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups)
+    plans = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol, groups)
+    mu_rows = np.asarray(mu_rows, dtype=float)
+    mu_cols = np.asarray(mu_cols, dtype=float)
+    size = kernels.shape[0] // groups
+    res = np.abs(plans.sum(axis=1) - mu_cols).reshape(groups, -1).max(axis=1)
+    todo = np.repeat(res > tol, size)
+    if not todo.any():
+        return plans
+    mu_rows, mu_cols = mu_rows[todo], mu_cols[todo]
+    tail, failed = _newton(plans[todo], mu_rows, mu_cols, tol, size)
+    if failed.any():
+        # go on from the current plan: kernel P/mu with row scaling mu is P
+        restart = np.maximum(tail[failed] / mu_rows[failed][:, :, None], KERNEL_FLOOR)
+        tail[failed] = _sinkhorn(restart, mu_rows[failed], mu_cols[failed],
+                                 max_iters - SINKHORN_WARMUP, tol, int(failed.sum()) // size)
+    plans[todo] = tail
+    return plans
+
+
+def _newton(plans, mu_rows, mu_cols, tol, size):
+    """Damped Newton on the column log-potentials of the entropic semi-dual.
+
+    plans (S, N, K) have rows on mu_rows; each step takes a direction d of
+    the potentials, absorbs it into the plan as P·diag(exp(t·d)) and puts
+    the rows back onto mu_rows, so the row potentials are eliminated
+    exactly and no scaling vector can under- or overflow. The Hessian
+    diag(colsum P) - Pᵀ·diag(1/mu)·P has the null direction 1, fixed by
+    adding mean(colsum)·11ᵀ and a ridge. The step length t starts where
+    |t·d| <= 30 and is halved until Armijo holds for the gain
+    t·νᵀd - muᵀ·log1p(Q·expm1(t·d)), Q = P/mu, which costs one matvec per
+    trial and keeps its precision near the optimum.
+
+    As in _sinkhorn, consecutive runs of `size` kernels form a group that
+    is stored once all its column residuals are within tol; its kernels
+    that are within tol wait without stepping. A group with a kernel whose
+    direction is non-finite or no ascent, or whose line search fails, or
+    a group still above tol after NEWTON_ITERS steps, is stored as it
+    stands and flagged. Any floating-point fault raises NumericError.
+    Returns the plans and the per-kernel flags.
+    """
+    out = np.empty_like(plans)
+    failed = np.zeros(plans.shape[0], dtype=bool)
+    live = np.arange(plans.shape[0])
+    diag = np.arange(plans.shape[2])
+    stuck = np.zeros(plans.shape[0], dtype=bool)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for step in range(NEWTON_ITERS + 1):
+                col = plans.sum(axis=1)
+                grad = mu_cols - col
+                res = np.abs(grad).reshape(-1, size * grad.shape[1]).max(axis=1)
+                bad = np.repeat(stuck.reshape(-1, size).any(axis=1), size)
+                done = np.repeat(res <= tol, size) & ~bad
+                if step == NEWTON_ITERS:
+                    bad = ~done
+                stop = done | bad
+                if stop.any():
+                    out[live[stop]] = plans[stop]
+                    failed[live[bad]] = True
+                    live, plans, col, grad = live[~stop], plans[~stop], col[~stop], grad[~stop]
+                    mu_rows, mu_cols = mu_rows[~stop], mu_cols[~stop]
+                if live.size == 0:
+                    break
+                q = plans / mu_rows[:, :, None]
+                hess = -(q.transpose(0, 2, 1) @ plans)
+                hess[:, diag, diag] += col + 1e-12 * col.max(axis=1, keepdims=True)
+                hess += col.mean(axis=1)[:, None, None]
+                d = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+                finite = np.all(np.isfinite(d), axis=1)
+                d[~finite] = 0.0
+                slope = (grad * d).sum(axis=1)
+                lin = (mu_cols * d).sum(axis=1)
+                # kernels already within tol wait for their group without stepping
+                active = np.abs(grad).max(axis=1) > tol
+                stuck = active & ~(finite & (slope > 0.0))
+                pending = active & ~stuck
+                t = np.where(pending, 30.0 / np.maximum(np.abs(d).max(axis=1), 30.0), 0.0)
+                for _ in range(ARMIJO_TRIALS):
+                    x = (q @ np.expm1(t[:, None] * d)[:, :, None])[:, :, 0]
+                    gain = t * lin - (mu_rows * np.log1p(x)).sum(axis=1)
+                    pending &= gain < 1e-4 * t * slope
+                    if not pending.any():
+                        break
+                    t[pending] *= 0.5
+                stuck |= pending
+                t[pending] = 0.0
+                plans = plans * np.exp(t[:, None] * d)[:, None, :]
+                plans *= (mu_rows / plans.sum(axis=2))[:, :, None]
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericError("newton scaling step failed: %s" % exc) from exc
+    return out, failed
+
+
+def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+    """Alternating Sinkhorn scalings of a batch of positive kernels.
+
+    Arguments as in _scale. Runs at most max_iters scaling pairs. Row sums
+    are exact because the row scaling runs last. Every 4th pair the column
+    residuals are checked: a group whose residuals are all within tol is
+    stored and dropped from the scaling, so it stops at the same pair as
+    it would alone.
 
     The stack is cut into slices of at most SLICE_BYTES of kernels, and
     each slice runs all its pairs from one check up to the column products
@@ -203,8 +322,11 @@ def _marginals(shape, mu_row, mu_col):
 def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
     """Scale a strictly positive kernel onto the prescribed marginals.
 
-    Runs at most inner_iters scaling pairs of the shared scaling loop,
-    stopping early once the column residual falls below 1e-12.
+    Runs the shared scaling routine (_scale) to a column residual of
+    1e-12: Sinkhorn pairs, then Newton steps after the first
+    SINKHORN_WARMUP pairs when the kernel has at most NEWTON_MAX_K columns
+    and inner_iters exceeds SINKHORN_WARMUP. inner_iters caps the Sinkhorn
+    pairs, those of a Newton fallback included.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2:
@@ -273,11 +395,15 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
 
     The batch of one: proximal_gw_batch([a], [w], cfg)[0]. Starting from the
     product coupling, each of the cfg.sinkhorn_iters proximal steps builds
-    the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals (at
-    most 500 scaling pairs, stopping at a column residual of SCALING_TOL),
-    and rounds the result exactly feasible. The cost rows are shifted by
-    their minimum in log space before exponentiation and the kernel is
-    floored at 1e-300, so beta as small as the default never overflows.
+    the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals to a
+    column residual of SCALING_TOL, and rounds the result exactly feasible.
+    Against a target of at most NEWTON_MAX_K blocks the rescaling is
+    SINKHORN_WARMUP Sinkhorn pairs and then semi-dual Newton steps; a solve
+    that Newton leaves above SCALING_TOL after NEWTON_ITERS steps goes on
+    with Sinkhorn, as wider targets do throughout, up to 500 pairs in all.
+    The cost rows are shifted by their minimum in log space before
+    exponentiation and the kernel is floored at 1e-300, so beta as small
+    as the default never overflows.
 
     With cfg.restarts > 1 the loop also runs from the mass-sorted monotone
     and antitone couplings and then seeded random anchors, and keeps the
@@ -452,11 +578,13 @@ def _quadratic_term(deltas, a, b):
 
 
 def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
-    """Entropically regularized optimal transport: Sinkhorn on exp(-cost/beta).
+    """Entropically regularized optimal transport: exp(-cost/beta) scaled onto the marginals.
 
-    Scales until the column residual drops below SCALING_TOL (at most 10000
-    pairs), then rounds the plan exactly feasible; raises NumericError if the
-    scalings diverge.
+    Scales until the column residual drops below SCALING_TOL, then rounds
+    the plan exactly feasible; raises NumericError if the scalings diverge.
+    With at most NEWTON_MAX_K columns the scaling turns to Newton steps
+    after SINKHORN_WARMUP Sinkhorn pairs; Sinkhorn alone, and a Newton
+    fallback, run at most 10000 pairs.
     """
     if float(beta) <= 0.0:
         raise DomainError("beta must be positive")

@@ -13,12 +13,14 @@ from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
                             ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
 from gwgraphon import gw
+from gwgraphon.barycenter import estimate_gwb
+from gwgraphon.evaluation import gw_error, scoring_config
 from gwgraphon.graphons import FAMILY_NAMES, GraphonSpec, discretize_graphon
 from gwgraphon.gw import (SCALING_TOL, GwResult, _scale, entropic_ot,
                           gw_cost_offset, proximal_gw, proximal_gw_batch,
                           sinkhorn_projection)
 from gwgraphon.oracle import gw_distance_exact_small
-from gwgraphon.sampling import sample_graph
+from gwgraphon.sampling import sample_graph, sample_population
 
 STRONG = SolverConfig(sinkhorn_iters=10, restarts=8, polish_iters=80)
 
@@ -349,8 +351,11 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     """Whatever the slice size (one kernel, part of a group, several groups
     or the whole stack), groups and cap, _scale returns the plans of the
     plain loop bit for bit. Rank-one groups converge at the first check and
-    leave the stack while the others scale on."""
+    leave the stack while the others scale on. Caps past the Newton warm-up
+    come with targets wider than NEWTON_MAX_K, which scale by Sinkhorn alone."""
     groups = data.draw(st.sampled_from([g for g in range(1, count + 1) if count % g == 0]))
+    if cap > gw.SINKHORN_WARMUP:
+        k += gw.NEWTON_MAX_K
     rng = np.random.default_rng(seed)
     kernels = np.exp(-rng.random((count, n, k)) / rng.choice([0.02, 0.2, 1.0], (count, 1, 1)))
     size = count // groups
@@ -365,21 +370,135 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     np.testing.assert_array_equal(got, expected)
 
 
-def test_stack_past_the_cache_equals_its_one_slice_run(rng):
-    """Criterion 08's round stack, 80 kernels of 200 x 29 with one group
-    each, is cut into slices, and scales exactly as one slice would. The
-    kernels' widths spread their stops from pair 24 to the cap of 500, so
-    the slices are rebuilt many times."""
+def _round_stack(rng, widest=0.2):
+    """Criterion 08's round stack: 80 Gaussian kernels of 200 x 29 with
+    widths beta from 0.002 to `widest`, floored as the solver floors them,
+    and random marginals."""
     cost = (np.linspace(0.0, 1.0, 200)[:, None] - np.linspace(0.0, 1.0, 29)[None, :]) ** 2
-    kernels = np.exp(-cost[None] / np.geomspace(0.002, 0.2, 80)[:, None, None])
+    kernels = np.exp(-cost[None] / np.geomspace(0.002, widest, 80)[:, None, None])
     np.maximum(kernels, gw.KERNEL_FLOOR, out=kernels)
     mu_rows = np.stack([random_measure(rng, 200) for _ in range(80)])
     mu_cols = np.stack([random_measure(rng, 29) for _ in range(80)])
+    return kernels, mu_rows, mu_cols
+
+
+def test_stack_past_the_cache_equals_its_one_slice_run(rng):
+    """Criterion 08's round stack, with one group per kernel, is cut into
+    slices, and scales exactly as one slice would. The kernels' widths
+    spread their stops from pair 24 to the cap of 500, so the slices are
+    rebuilt many times."""
+    kernels, mu_rows, mu_cols = _round_stack(rng)
     assert kernels.nbytes > gw.SLICE_BYTES
     sliced = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     with mock.patch.object(gw, "SLICE_BYTES", kernels.nbytes + 1):
         whole = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     assert np.array_equal(sliced, whole)
+
+
+def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
+    """Sinkhorn alone leaves most of criterion 08's round stack at the cap
+    of 500 pairs once its widths stop at beta = 0.01. With the Newton tail
+    every group converges without falling back to Sinkhorn, every column
+    residual is within SCALING_TOL, the rows stay on their marginal to
+    float precision, and each group of 4 kernels gets the plans it gets
+    scaled alone."""
+    kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.01)
+    with mock.patch.object(gw, "NEWTON_MAX_K", 0):
+        sinkhorn = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    assert np.mean(np.abs(sinkhorn.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL) > 0.5
+    real_newton, fallbacks = gw._newton, []
+
+    def recording_newton(*args):
+        plans, failed = real_newton(*args)
+        fallbacks.append(int(failed.sum()))
+        return plans, failed
+
+    with mock.patch.object(gw, "_newton", recording_newton):
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=20)
+    assert fallbacks == [0]
+    assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
+    np.testing.assert_allclose(plans.sum(axis=2), mu_rows, rtol=1e-14, atol=0.0)
+    for lo in range(0, 80, 4):
+        alone = _scale(kernels[lo:lo + 4], mu_rows[lo:lo + 4], mu_cols[lo:lo + 4], 500,
+                       SCALING_TOL)
+        np.testing.assert_array_equal(plans[lo:lo + 4], alone)
+
+
+def test_newton_fallback_goes_on_with_sinkhorn(rng):
+    """A group that Newton gives up on (here every group, with
+    NEWTON_ITERS = 0) goes on with Sinkhorn from the plan Newton left for
+    the rest of the pair cap, so it ends where the uninterrupted Sinkhorn
+    loop ends, up to rounding and the stopping tolerance; each group still
+    gets the plans it gets alone."""
+    kernels, mu_rows, mu_cols = (s[::8] for s in _round_stack(rng, widest=0.01))
+    with mock.patch.object(gw, "NEWTON_ITERS", 0):
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)
+        for lo in range(0, 10, 2):
+            alone = _scale(kernels[lo:lo + 2], mu_rows[lo:lo + 2], mu_cols[lo:lo + 2], 500,
+                           SCALING_TOL)
+            np.testing.assert_array_equal(plans[lo:lo + 2], alone)
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)
+    np.testing.assert_allclose(plans, sinkhorn, rtol=0.0, atol=1e-9)
+
+
+def test_newton_float_fault_is_a_numeric_error():
+    """A floating-point fault inside the Newton tail reaches the caller as
+    NumericError, not as a numpy warning."""
+    plans = np.full((1, 3, 2), 1e308)
+    with pytest.raises(NumericError):
+        gw._newton(plans, np.full((1, 3), 1.0 / 3), np.full((1, 2), 0.5), SCALING_TOL, 1)
+
+
+def _isolated_graph(rng, n, isolated):
+    """A random graph on n nodes whose last `isolated` nodes have no edge:
+    their degree floor gives the measure mass ratios near 1e8."""
+    upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+    upper[:, n - isolated:] = False
+    upper[0, 1] = True
+    return ObservedGraph.from_dense((upper | upper.T).astype(float))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(3, 40), k=st.integers(3, 20), isolated=st.integers(1, 3),
+       beta=st.sampled_from([0.005, 0.05, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_plans_are_feasible_on_degree_floored_measures(n, k, isolated, beta, seed):
+    """Isolated nodes keep the degree floor of 1e-8, so both marginals
+    span mass ratios near 1e8 and the Newton Hessian is nearly singular.
+    proximal_gw at the default and the scoring settings, and entropic_ot on
+    the same marginals, still return finite plans on both marginals."""
+    rng = np.random.default_rng(seed)
+    graph = _isolated_graph(rng, n, min(isolated, n - 2))
+    target = _isolated_graph(rng, k, min(isolated, k - 2))
+    assert graph.measure.max() / graph.measure.min() > 1e6
+    plans = [proximal_gw(graph, target, cfg).plan.coupling
+             for cfg in (SolverConfig(), scoring_config(seed))]
+    plans.append(entropic_ot(rng.random((n, k)), graph.measure, target.measure, beta).coupling)
+    for plan in plans:
+        assert np.all(np.isfinite(plan)) and float(plan.min()) >= 0.0
+        assert float(np.abs(plan.sum(axis=1) - graph.measure).max()) <= PLAN_MARGINAL_TOL
+        assert float(np.abs(plan.sum(axis=0) - target.measure).max()) <= PLAN_MARGINAL_TOL
+
+
+def test_every_small_target_scaling_converges_in_a_fit_and_its_score():
+    """In a default estimate_gwb on 10 abs_diff graphs of 200 nodes and in
+    a gw_error of the estimate at resolution 300, every scaling against a
+    target of at most NEWTON_MAX_K blocks ends with its column residual
+    within SCALING_TOL, so no proximal step leans on the rounding."""
+    graphs = sample_population(GraphonSpec("abs_diff"), 10, (200, 200), seed=1)
+    residuals = []
+
+    def recording_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+        plans = _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups)
+        if kernels.shape[2] <= gw.NEWTON_MAX_K:
+            residuals.append(float(np.abs(plans.sum(axis=1) - mu_cols).max()))
+        return plans
+
+    with mock.patch("gwgraphon.gw._scale", recording_scale):
+        estimate = estimate_gwb(graphs)
+        fit_scalings = len(residuals)
+        gw_error(estimate, GraphonSpec("abs_diff"), resolution=300)
+    assert 0 < fit_scalings < len(residuals)
+    assert max(residuals) <= SCALING_TOL
 
 
 def _starts(target, restarts):
