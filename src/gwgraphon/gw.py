@@ -22,10 +22,8 @@ KERNEL_FLOOR = 1e-300
 SCALING_TOL = 1e-9
 # kernel bytes of one cache-resident slice of a scaling stack: 3/4 of a 2 MiB L2
 SLICE_BYTES = 3 << 19
-# Sinkhorn pairs before a small target's scaling turns to Newton steps
+# Sinkhorn pairs before a scaling turns to Newton steps
 SINKHORN_WARMUP = 32
-# widest target (K) whose scaling ends in semi-dual Newton steps
-NEWTON_MAX_K = 160
 # Newton steps before an unconverged group falls back to Sinkhorn
 NEWTON_ITERS = 100
 # step halvings tried by one Newton line search
@@ -119,16 +117,15 @@ def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     precision. A single kernel is passed as kernel[None] with its marginals
     as mu[None], and its plan read back as [0].
 
-    Targets of at most NEWTON_MAX_K columns, with more than SINKHORN_WARMUP
-    pairs allowed, run SINKHORN_WARMUP Sinkhorn pairs and then semi-dual
-    Newton steps (_newton) on the groups still above tol. A group that
-    Newton gives up on, at the latest after NEWTON_ITERS steps, goes on
-    with Sinkhorn from its current plan for the rest of the max_iters
-    pairs. Wider targets, where Newton's N·K² work per step stops paying,
-    run Sinkhorn alone, for at most max_iters pairs.
+    With more than SINKHORN_WARMUP pairs allowed, the stack runs
+    SINKHORN_WARMUP Sinkhorn pairs (_sinkhorn) and then semi-dual Newton
+    steps (_newton) on the groups still above tol. A group that Newton
+    gives up on, at the latest after NEWTON_ITERS steps, goes on with
+    Sinkhorn from its current plan for the rest of the max_iters pairs.
+    With at most SINKHORN_WARMUP pairs allowed it runs Sinkhorn alone.
     """
     max_iters = max(int(max_iters), 1)
-    if kernels.shape[2] > NEWTON_MAX_K or max_iters <= SINKHORN_WARMUP:
+    if max_iters <= SINKHORN_WARMUP:
         return _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups)
     plans = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol, groups)
     mu_rows = np.asarray(mu_rows, dtype=float)
@@ -324,9 +321,9 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
 
     Runs the shared scaling routine (_scale) to a column residual of
     1e-12: Sinkhorn pairs, then Newton steps after the first
-    SINKHORN_WARMUP pairs when the kernel has at most NEWTON_MAX_K columns
-    and inner_iters exceeds SINKHORN_WARMUP. inner_iters caps the Sinkhorn
-    pairs, those of a Newton fallback included.
+    SINKHORN_WARMUP pairs when inner_iters exceeds SINKHORN_WARMUP.
+    inner_iters caps the Sinkhorn pairs, those of a Newton fallback
+    included.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2:
@@ -397,10 +394,9 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     product coupling, each of the cfg.sinkhorn_iters proximal steps builds
     the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals to a
     column residual of SCALING_TOL, and rounds the result exactly feasible.
-    Against a target of at most NEWTON_MAX_K blocks the rescaling is
-    SINKHORN_WARMUP Sinkhorn pairs and then semi-dual Newton steps; a solve
-    that Newton leaves above SCALING_TOL after NEWTON_ITERS steps goes on
-    with Sinkhorn, as wider targets do throughout, up to 500 pairs in all.
+    The rescaling is SINKHORN_WARMUP Sinkhorn pairs and then semi-dual
+    Newton steps; a solve that Newton leaves above SCALING_TOL after
+    NEWTON_ITERS steps goes on with Sinkhorn, up to 500 pairs in all.
     The cost rows are shifted by their minimum in log space before
     exponentiation and the kernel is floored at 1e-300, so beta as small
     as the default never overflows.
@@ -582,9 +578,9 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
 
     Scales until the column residual drops below SCALING_TOL, then rounds
     the plan exactly feasible; raises NumericError if the scalings diverge.
-    With at most NEWTON_MAX_K columns the scaling turns to Newton steps
-    after SINKHORN_WARMUP Sinkhorn pairs; Sinkhorn alone, and a Newton
-    fallback, run at most 10000 pairs.
+    The scaling turns to Newton steps after SINKHORN_WARMUP Sinkhorn
+    pairs; a Newton fallback goes on with Sinkhorn, up to 10000 pairs in
+    all.
     """
     if float(beta) <= 0.0:
         raise DomainError("beta must be positive")

@@ -351,11 +351,9 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     """Whatever the slice size (one kernel, part of a group, several groups
     or the whole stack), groups and cap, _scale returns the plans of the
     plain loop bit for bit. Rank-one groups converge at the first check and
-    leave the stack while the others scale on. Caps past the Newton warm-up
-    come with targets wider than NEWTON_MAX_K, which scale by Sinkhorn alone."""
+    leave the stack while the others scale on. Caps past the warm-up call
+    _sinkhorn, the loop that _scale's Newton tail takes over from."""
     groups = data.draw(st.sampled_from([g for g in range(1, count + 1) if count % g == 0]))
-    if cap > gw.SINKHORN_WARMUP:
-        k += gw.NEWTON_MAX_K
     rng = np.random.default_rng(seed)
     kernels = np.exp(-rng.random((count, n, k)) / rng.choice([0.02, 0.2, 1.0], (count, 1, 1)))
     size = count // groups
@@ -365,8 +363,9 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     mu_rows = np.stack([random_measure(rng, n) for _ in range(count)])
     mu_cols = np.stack([random_measure(rng, k) for _ in range(count)])
     expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+    scale = _scale if cap <= gw.SINKHORN_WARMUP else gw._sinkhorn
     with mock.patch.object(gw, "SLICE_BYTES", slice_kernels * kernels[0].nbytes):
-        got = _scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+        got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -385,13 +384,13 @@ def _round_stack(rng, widest=0.2):
 def test_stack_past_the_cache_equals_its_one_slice_run(rng):
     """Criterion 08's round stack, with one group per kernel, is cut into
     slices, and scales exactly as one slice would. The kernels' widths
-    spread their stops from pair 24 to the cap of 500, so the slices are
-    rebuilt many times."""
+    spread their Sinkhorn stops from pair 24 to the cap of 500, so the
+    slices are rebuilt many times."""
     kernels, mu_rows, mu_cols = _round_stack(rng)
     assert kernels.nbytes > gw.SLICE_BYTES
-    sliced = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    sliced = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     with mock.patch.object(gw, "SLICE_BYTES", kernels.nbytes + 1):
-        whole = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+        whole = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     assert np.array_equal(sliced, whole)
 
 
@@ -403,8 +402,7 @@ def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
     float precision, and each group of 4 kernels gets the plans it gets
     scaled alone."""
     kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.01)
-    with mock.patch.object(gw, "NEWTON_MAX_K", 0):
-        sinkhorn = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     assert np.mean(np.abs(sinkhorn.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL) > 0.5
     real_newton, fallbacks = gw._newton, []
 
@@ -422,6 +420,26 @@ def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
         alone = _scale(kernels[lo:lo + 4], mu_rows[lo:lo + 4], mu_cols[lo:lo + 4], 500,
                        SCALING_TOL)
         np.testing.assert_array_equal(plans[lo:lo + 4], alone)
+
+
+def test_converged_kernel_waits_for_its_group_without_newton_steps(rng):
+    """A rank-one kernel is within SCALING_TOL after the first Sinkhorn
+    pair. Grouped with a kernel that needs Newton steps, it waits for its
+    group instead of stepping on a rounding-level direction, whose line
+    search would fail and send the group back to Sinkhorn."""
+    kernels, mu_rows, mu_cols = (s[:2].copy() for s in _round_stack(rng, widest=0.01))
+    kernels[0] = np.outer(rng.random(200) + 0.5, rng.random(29) + 0.5)
+    real_newton, fallbacks = gw._newton, []
+
+    def recording_newton(*args):
+        plans, failed = real_newton(*args)
+        fallbacks.append(int(failed.sum()))
+        return plans, failed
+
+    with mock.patch.object(gw, "_newton", recording_newton):
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)
+    assert fallbacks == [0]
+    assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
 
 
 def test_newton_fallback_goes_on_with_sinkhorn(rng):
@@ -479,18 +497,17 @@ def test_plans_are_feasible_on_degree_floored_measures(n, k, isolated, beta, see
         assert float(np.abs(plan.sum(axis=0) - target.measure).max()) <= PLAN_MARGINAL_TOL
 
 
-def test_every_small_target_scaling_converges_in_a_fit_and_its_score():
+def test_every_scaling_converges_in_a_fit_and_its_score():
     """In a default estimate_gwb on 10 abs_diff graphs of 200 nodes and in
-    a gw_error of the estimate at resolution 300, every scaling against a
-    target of at most NEWTON_MAX_K blocks ends with its column residual
-    within SCALING_TOL, so no proximal step leans on the rounding."""
+    a gw_error of the estimate at resolution 300, every scaling ends with
+    its column residual within SCALING_TOL, so no proximal step leans on
+    the rounding."""
     graphs = sample_population(GraphonSpec("abs_diff"), 10, (200, 200), seed=1)
     residuals = []
 
     def recording_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
         plans = _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups)
-        if kernels.shape[2] <= gw.NEWTON_MAX_K:
-            residuals.append(float(np.abs(plans.sum(axis=1) - mu_cols).max()))
+        residuals.append(float(np.abs(plans.sum(axis=1) - mu_cols).max()))
         return plans
 
     with mock.patch("gwgraphon.gw._scale", recording_scale):
