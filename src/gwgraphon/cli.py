@@ -19,7 +19,8 @@ from typing import List, Optional
 import numpy as np
 
 from .barycenter import estimate_gwb
-from .core import MIN_NODES, GraphonError, ParseError, SolverConfig, ValidationError
+from .core import (MIN_NODES, DomainError, GraphonError, ParseError, SolverConfig,
+                   ValidationError)
 from .evaluation import (clustering_accuracy, gw_error, mse_error,
                          naive_average_estimate, scoring_config,
                          upsample_step_function, usvt_estimate)
@@ -66,7 +67,9 @@ def _parse_nodes(text):
 
 def _load_grid(path):
     lines = _text_lines(_read_text(path))
-    if lines and lines[0][1].startswith("K "):
+    if not any(line.split("#", 1)[0].strip() for _, line in lines):
+        raise ParseError("grid file %r has no data" % (path,))
+    if lines[0][1].startswith("K "):
         w = read_step_function(path)
         if not np.allclose(w.measure, 1.0 / w.partition_count, atol=1e-9):
             raise UsageError(
@@ -96,9 +99,9 @@ def _read_population(directory):
     return graphs
 
 
-def _solver_config(**kwargs):
+def _solver_config(make=SolverConfig, **kwargs):
     try:
-        return SolverConfig(**kwargs)
+        return make(**kwargs)
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
 
@@ -118,7 +121,11 @@ def _cmd_sample(args) -> int:
         raise UsageError("--count must be at least 1")
     spec = _parse_graphon(args.graphon)
     n_min, n_max = _parse_nodes(args.nodes)
-    graphs = sample_population(spec, args.count, (n_min, n_max), args.seed)
+    try:
+        # count and nodes are checked above, so what is left to fail is the seed
+        graphs = sample_population(spec, args.count, (n_min, n_max), args.seed)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     width = max(3, len(str(args.count - 1)))
     with open(os.path.join(args.out, "manifest.csv"), "w",
@@ -135,10 +142,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    graphs = _read_population(args.in_dir)
     cfg = _solver_config(beta=args.beta, outer_iters=args.outer,
                          sinkhorn_iters=args.sinkhorn, alpha=args.alpha,
                          seed=args.seed)
+    graphs = _read_population(args.in_dir)
     k = None
     if args.k != "auto":
         try:
@@ -217,6 +224,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    cfg = _solver_config(scoring_config, seed=args.seed)
     estimate = read_step_function(args.estimate)
     spec = _parse_graphon(args.truth)
     if args.resolution < 1:
@@ -224,8 +232,7 @@ def _cmd_eval(args) -> int:
     if args.metric == "mse":
         value = mse_error(estimate, spec, resolution=args.resolution)
     else:
-        value = gw_error(estimate, spec, scoring_config(seed=args.seed),
-                         resolution=args.resolution)
+        value = gw_error(estimate, spec, cfg, resolution=args.resolution)
     print("command=eval metric=%s resolution=%d value=%.17g"
           % (args.metric, args.resolution, value))
     if args.csv is not None:

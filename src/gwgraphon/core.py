@@ -242,10 +242,12 @@ class TransportPlan:
 class SolverConfig:
     """Settings shared by the transport solver and the estimators.
 
-    :param beta: proximal / entropic weight (must be positive).
+    :param beta: proximal / entropic weight (must be finite and at least the
+        smallest normal float, about 2.2e-308).
     :param outer_iters: alternating rounds of the barycenter estimators.
     :param sinkhorn_iters: proximal steps per transport solve.
-    :param alpha: smoothness weight used by the smoothed estimator.
+    :param alpha: smoothness weight used by the smoothed estimator (must be
+        nonnegative and finite).
     :param seed: seed for every randomized initialization.
     :param restarts: upper bound on the initializations tried per
         transport solve; the best objective wins.  Equal starts are solved
@@ -265,10 +267,12 @@ class SolverConfig:
     polish_iters: int = 0
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValidationError("beta must be positive")
-        if self.alpha < 0.0:
-            raise ValidationError("alpha must be nonnegative")
+        # below the smallest normal float, cost/beta overflows
+        if not (self.beta >= np.finfo(float).tiny and np.isfinite(self.beta)):
+            raise ValidationError("beta must be finite and at least %.17g"
+                                  % np.finfo(float).tiny)
+        if not (self.alpha >= 0.0 and np.isfinite(self.alpha)):
+            raise ValidationError("alpha must be nonnegative and finite")
         for name in ("outer_iters", "sinkhorn_iters", "restarts"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError("%s must be a positive integer" % name)

@@ -20,8 +20,6 @@ from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
 KERNEL_FLOOR = 1e-300
 # column-marginal residual at which the proximal steps and entropic_ot stop scaling
 SCALING_TOL = 1e-9
-# kernel bytes of one cache-resident slice of a scaling stack: 3/4 of a 2 MiB L2
-SLICE_BYTES = 3 << 19
 # Sinkhorn pairs before a scaling turns to Newton steps
 SINKHORN_WARMUP = 32
 # Newton steps before an unconverged group falls back to Sinkhorn
@@ -93,17 +91,6 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     if mu_a.size != a.shape[0] or mu_w.size != w.shape[0]:
         raise DomainError("measure lengths do not match matrix sizes")
     return (_squared(a) @ mu_a)[:, None] + (_squared(w).T @ mu_w)[None, :]
-
-
-def _slices(kernels, *stacks):
-    """The kernels, their transposes and each of stacks cut into the same
-    runs of consecutive kernels: near-equal runs of at most SLICE_BYTES of
-    kernels, and at least one kernel each."""
-    count = len(kernels)
-    parts = -(-count // max(SLICE_BYTES // kernels[0].nbytes, 1))
-    bounds = [count * i // parts for i in range(parts + 1)]
-    return [(kernels[lo:hi], kernels[lo:hi].transpose(0, 2, 1)) + tuple(s[lo:hi] for s in stacks)
-            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
@@ -223,62 +210,38 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
 def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
-    Arguments as in _scale. Runs at most max_iters scaling pairs. Row sums
-    are exact because the row scaling runs last. Every 4th pair the column
-    residuals are checked: a group whose residuals are all within tol is
-    stored and dropped from the scaling, so it stops at the same pair as
-    it would alone.
-
-    The stack is cut into slices of at most SLICE_BYTES of kernels, and
-    each slice runs all its pairs from one check up to the column products
-    of the next check back to back, while its kernels stay in cache; the
-    check then reads the column products of the whole stack. A stack
-    larger than the cache would otherwise be read from memory twice per
-    pair. SLICE_BYTES is 3/4 of a 2 MiB per-core L2, so a slice leaves room
-    for its scaling vectors and the rest of the working set. Each kernel
-    still goes through the same matrix-vector products and divisions in
-    the same order, into buffers allocated once, so the plans do not
-    depend on the slicing, bit for bit.
+    Arguments as in _scale. Runs at most max_iters scaling pairs, each half
+    pair one batched matmul and one division over the live kernels. Row
+    sums are exact because the row scaling runs last. Every 4th pair the
+    column residuals are checked: a group whose residuals are all within
+    tol is stored and dropped from the scaling, so it stops at the same
+    pair as it would alone.
     """
     size = kernels.shape[0] // groups
     plans = np.empty_like(kernels) if groups > 1 else None
     live = np.arange(kernels.shape[0])
-    max_iters = max(int(max_iters), 1)
-    mu_rows = np.asarray(mu_rows, dtype=float)[:, :, None]
-    mu_cols = np.asarray(mu_cols, dtype=float)[:, :, None]
-    a, kb = mu_rows.copy(), np.empty_like(mu_rows)
-    b, ka = np.empty_like(mu_cols), np.empty_like(mu_cols)
-    np.matmul(kernels.transpose(0, 2, 1), a, out=ka)
-    slices = _slices(kernels, mu_rows, mu_cols, a, b, ka, kb)
-    done_pairs = 0
-    while True:
-        # pairs up to the next check, whose column products end the run
-        stop = min(done_pairs + 4, max_iters)
-        for k, k_t, mu_r, mu_c, a_s, b_s, ka_s, kb_s in slices:
-            for pair in range(done_pairs, stop):
-                np.divide(mu_c, ka_s, out=b_s)
-                np.matmul(k, b_s, out=kb_s)
-                np.divide(mu_r, kb_s, out=a_s)
-                if pair + 1 < max_iters:
-                    np.matmul(k_t, a_s, out=ka_s)
-        done_pairs = stop
-        if done_pairs == max_iters:
-            break
-        res = np.abs(b * ka - mu_cols)
-        if float(res.max()) <= tol:
-            break
-        if plans is not None:
-            done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
-            if done.any():
-                plans[live[done]] = (a[done] * kernels[done]) * b[done].transpose(0, 2, 1)
-                keep = ~done
-                live, kernels = live[keep], kernels[keep]
-                mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
-                a, b, ka, kb = a[keep], b[keep], ka[keep], kb[keep]
-                slices = _slices(kernels, mu_rows, mu_cols, a, b, ka, kb)
+    mu_rows = np.asarray(mu_rows, dtype=float)
+    mu_cols = np.asarray(mu_cols, dtype=float)
+    a = mu_rows
+    for pair in range(max(int(max_iters), 1)):
+        ka = (kernels.transpose(0, 2, 1) @ a[:, :, None])[..., 0]
+        if pair and pair % 4 == 0:
+            res = np.abs(b * ka - mu_cols)
+            if float(res.max()) <= tol:
+                break
+            if plans is not None:
+                done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
+                if done.any():
+                    plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                    keep = ~done
+                    live, kernels = live[keep], kernels[keep]
+                    mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
+                    a, b, ka = a[keep], b[keep], ka[keep]
+        b = mu_cols / ka
+        a = mu_rows / (kernels @ b[:, :, None])[..., 0]
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
-    final = (a * kernels) * b.transpose(0, 2, 1)
+    final = (a[:, :, None] * kernels) * b[:, None, :]
     if plans is None:
         return final
     plans[live] = final

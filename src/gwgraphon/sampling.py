@@ -37,9 +37,17 @@ def estimate_node_measure(adjacency):
     return _degree_measure(adj)
 
 
+def _seed(seed):
+    """seed as an int, checked to lie in SolverConfig.seed's domain [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError("seed must fit in an unsigned 64-bit integer, got %d" % seed)
+    return seed
+
+
 def derive_graph_seed(seed, index):
     """Per-graph seed for population sampling, independent of sampling order."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(1, int(index)))
+    ss = np.random.SeedSequence(entropy=_seed(seed), spawn_key=(1, int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -53,7 +61,7 @@ def sample_graph(spec: GraphonSpec, n, seed) -> ObservedGraph:
     n = int(n)
     if n < MIN_NODES:
         raise DomainError("need at least %d nodes, got %d" % (MIN_NODES, n))
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed(seed))
     positions = rng.random(n)
     iu, ju = np.triu_indices(n, k=1)
     probs = _evaluate_array(spec, positions[iu], positions[ju])
@@ -78,6 +86,6 @@ def sample_population(spec: GraphonSpec, count, size_range: Sequence[int], seed)
     if n_min < MIN_NODES or n_max < n_min:
         raise DomainError("size range must satisfy %d <= n_min <= n_max, got [%d, %d]"
                           % (MIN_NODES, n_min, n_max))
-    size_rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
+    size_rng = np.random.default_rng(np.random.SeedSequence(entropy=_seed(seed), spawn_key=(0,)))
     sizes = size_rng.integers(n_min, n_max + 1, size=count)
     return [sample_graph(spec, int(sz), derive_graph_seed(seed, i)) for i, sz in enumerate(sizes)]

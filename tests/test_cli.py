@@ -1,7 +1,12 @@
+import contextlib
+import io
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwgraphon.cli import main
 from gwgraphon.core import StepFunction
@@ -113,6 +118,22 @@ def test_eval_grid_truth(tmp_path, capsys):
     assert float(_last_fields(capsys)["value"]) == 0.0
 
 
+@pytest.mark.parametrize("text", ["", "\n \n", "# no data\n"], ids=["empty", "blank", "comment"])
+def test_eval_empty_grid_is_a_parse_error(tmp_path, capsys, text):
+    """A grid file without data lines exits 1 with one error line and no
+    numpy warning."""
+    est = str(tmp_path / "w.txt")
+    write_step_function(StepFunction(np.full((2, 2), 0.5), [0.5, 0.5]), est)
+    grid_path = tmp_path / "grid.txt"
+    grid_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--estimate", est, "--truth", "grid:%s" % grid_path,
+                     "--metric", "mse"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: grid file %r has no data\n" % str(grid_path)
+
+
 def _mixed_population_dir(tmp_path):
     pop = tmp_path / "mixed"
     pop.mkdir()
@@ -196,6 +217,11 @@ def test_benchmark_uses_alignment_metric_on_hard_families(tmp_path, capsys):
     ["benchmark", "--families", "xy", "--trials", "0", "--csv", "x.csv"],
     ["sample", "--graphon", "xy", "--count", "2", "--nodes", "2",
      "--out", "ignored"],
+    ["sample", "--graphon", "xy", "--count", "2", "--nodes", "10", "--seed", "-1",
+     "--out", "ignored"],
+    ["eval", "--estimate", "ignored", "--truth", "xy", "--metric", "gw", "--seed", "-1"],
+    ["estimate", "--in", "ignored", "--alpha", "nan", "--out", "ignored"],
+    ["estimate", "--in", "ignored", "--beta", "inf", "--out", "ignored"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert main(argv) == 2
@@ -231,3 +257,59 @@ def test_non_utf8_inputs_exit_one(tmp_path, capsys):
         assert main(["sample", "--graphon", "grid:%s" % grid, "--count", "1",
                      "--nodes", "5", "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A population of three xy graphs of 10-20 nodes, and a 3-block estimate."""
+    root = tmp_path_factory.mktemp("cli_property")
+    pop = root / "pop"
+    pop.mkdir()
+    for i, g in enumerate(sample_population(GraphonSpec("xy"), 3, [10, 20], seed=2)):
+        write_edge_list(g, pop / ("graph_%03d.txt" % i))
+    est = root / "w.txt"
+    write_step_function(StepFunction(np.array([[0.2, 0.4, 0.5], [0.4, 0.6, 0.7],
+                                               [0.5, 0.7, 0.9]]), [0.4, 0.35, 0.25]), est)
+    return root, str(pop), str(est)
+
+
+def _mostly(valid, odd):
+    """Values of valid three times in four, of odd otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else valid)
+
+
+_SEEDS = _mostly(st.integers(0, 2 ** 64 - 1),
+                 st.one_of(st.integers(-2 ** 65, -1), st.integers(2 ** 64, 2 ** 65)))
+_ODD_NUMBERS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324"]),
+                         st.floats(-1.0, 1.0).map(repr))
+_COUNTS = _mostly(st.integers(1, 3), st.integers(-2, 0)).map(str)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["sample", "estimate", "eval"]), seed=_SEEDS)
+def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, command, seed):
+    """Whatever the seed (negative or past 2**64 included) and the numeric
+    options (nan, inf and negative included), sample, estimate and eval end
+    in exit status 0, 1 or 2 and never raise."""
+    root, pop, est = small_inputs
+    if command == "sample":
+        argv = ["sample", "--graphon", "xy", "--count=" + data.draw(_COUNTS),
+                "--nodes=" + data.draw(_mostly(st.sampled_from(["3", "12", "3:12"]),
+                                               st.sampled_from(["-1", "2", "12:3", "x"]))),
+                "--out", str(root / "sampled")]
+    elif command == "estimate":
+        argv = ["estimate", "--in", pop, "--out", str(root / "fit.txt"),
+                "--method=" + data.draw(st.sampled_from(["gwb", "sgwb", "usvt", "naive"])),
+                "--beta=" + data.draw(_mostly(st.floats(1e-3, 1.0).map(repr), _ODD_NUMBERS)),
+                "--alpha=" + data.draw(_mostly(st.floats(0.0, 1.0).map(repr), _ODD_NUMBERS)),
+                "--outer=" + data.draw(_COUNTS), "--sinkhorn=" + data.draw(_COUNTS),
+                "--k=" + data.draw(_mostly(st.sampled_from(["auto", "2", "3"]),
+                                           st.sampled_from(["-1", "1", "25", "x"])))]
+    else:
+        argv = ["eval", "--estimate", est, "--truth", "xy",
+                "--metric=" + data.draw(st.sampled_from(["mse", "gw"])),
+                "--resolution=" + data.draw(_mostly(st.integers(1, 20), st.integers(-2, 0)).map(str))]
+    argv.append("--seed=%d" % seed)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

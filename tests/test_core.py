@@ -156,6 +156,10 @@ def test_solver_config_defaults():
     dict(polish_iters=-1),
     dict(seed=2 ** 64),
     dict(seed=-1),
+    dict(beta=float("inf")),
+    dict(alpha=float("nan")),
+    dict(alpha=float("inf")),
+    dict(beta=5e-324),
 ])
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValidationError):

@@ -306,9 +306,10 @@ def test_converged_group_stops_at_its_own_pair(rng):
 
 
 def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
-    """The scaling loop without slices or buffers: every half pair is one
-    pass over the whole stack into fresh arrays. _scale must match it bit
-    for bit."""
+    """The Sinkhorn loop written out on its own: every half pair is one pass
+    over the live stack into fresh arrays, checked every 4th pair. _scale up
+    to the warm-up, and gw._sinkhorn at any cap, must match it bit for
+    bit."""
     size = kernels.shape[0] // groups
     plans = np.empty_like(kernels) if groups > 1 else None
     live = np.arange(kernels.shape[0])
@@ -345,14 +346,12 @@ def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), count=st.integers(1, 8), n=st.integers(1, 40), k=st.integers(1, 30),
        cap=st.integers(1, 37), tol=st.sampled_from([SCALING_TOL, -1.0]),
-       slice_kernels=st.integers(1, 9), seed=st.integers(0, 2 ** 16))
-def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, slice_kernels,
-                                                   seed):
-    """Whatever the slice size (one kernel, part of a group, several groups
-    or the whole stack), groups and cap, _scale returns the plans of the
-    plain loop bit for bit. Rank-one groups converge at the first check and
-    leave the stack while the others scale on. Caps past the warm-up call
-    _sinkhorn, the loop that _scale's Newton tail takes over from."""
+       seed=st.integers(0, 2 ** 16))
+def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, seed):
+    """Whatever the groups and cap, _scale returns the plans of the
+    reference loop bit for bit. Rank-one groups converge at the first check
+    and leave the stack while the others scale on. Caps past the warm-up
+    call _sinkhorn, the loop that _scale's Newton tail takes over from."""
     groups = data.draw(st.sampled_from([g for g in range(1, count + 1) if count % g == 0]))
     rng = np.random.default_rng(seed)
     kernels = np.exp(-rng.random((count, n, k)) / rng.choice([0.02, 0.2, 1.0], (count, 1, 1)))
@@ -364,8 +363,7 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     mu_cols = np.stack([random_measure(rng, k) for _ in range(count)])
     expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol, groups)
     scale = _scale if cap <= gw.SINKHORN_WARMUP else gw._sinkhorn
-    with mock.patch.object(gw, "SLICE_BYTES", slice_kernels * kernels[0].nbytes):
-        got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+    got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -382,16 +380,14 @@ def _round_stack(rng, widest=0.2):
 
 
 def test_stack_past_the_cache_equals_its_one_slice_run(rng):
-    """Criterion 08's round stack, with one group per kernel, is cut into
-    slices, and scales exactly as one slice would. The kernels' widths
-    spread their Sinkhorn stops from pair 24 to the cap of 500, so the
-    slices are rebuilt many times."""
+    """Criterion 08's round stack, with one group per kernel, scales up to
+    the cap of 500 pairs exactly as the reference loop does. The kernels'
+    widths spread their Sinkhorn stops from pair 24 to the cap, so groups
+    leave the stack at many checks."""
     kernels, mu_rows, mu_cols = _round_stack(rng)
-    assert kernels.nbytes > gw.SLICE_BYTES
-    sliced = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
-    with mock.patch.object(gw, "SLICE_BYTES", kernels.nbytes + 1):
-        whole = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
-    assert np.array_equal(sliced, whole)
+    got = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    expected = _reference_scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    assert np.array_equal(got, expected)
 
 
 def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):

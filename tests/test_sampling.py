@@ -106,3 +106,17 @@ def test_sample_population_validation():
         sample_population(spec, 3, [2, 20], seed=0)
     with pytest.raises(DomainError):
         sample_population(spec, 3, [20, 10], seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_the_solver_seed_domain_is_a_domain_error(seed):
+    """Sampling takes the seeds SolverConfig.seed takes, [0, 2**64), and
+    rejects others with DomainError rather than numpy's ValueError."""
+    spec = GraphonSpec("xy")
+    with pytest.raises(DomainError):
+        sample_graph(spec, 5, seed)
+    with pytest.raises(DomainError):
+        sample_population(spec, 2, [5, 6], seed)
+    with pytest.raises(DomainError):
+        derive_graph_seed(seed, 0)
+    assert sample_graph(spec, 5, 2 ** 64 - 1).node_count == 5
