@@ -100,9 +100,9 @@ def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     kernel has its own row and column marginal. The stack is split into
     `groups` equal runs of consecutive kernels, and a group stops as soon
     as all its column residuals are within tol, so every group gets the
-    plans it would get alone, bit for bit. Row sums are exact to float
-    precision. A single kernel is passed as kernel[None] with its marginals
-    as mu[None], and its plan read back as [0].
+    plans and potentials it would get alone, bit for bit. Row sums are
+    exact to float precision. A single kernel is passed as kernel[None]
+    with its marginals as mu[None], and its plan read back as plans[0].
 
     With more than SINKHORN_WARMUP pairs allowed, the stack runs
     SINKHORN_WARMUP Sinkhorn pairs (_sinkhorn) and then semi-dual Newton
@@ -110,27 +110,34 @@ def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     gives up on, at the latest after NEWTON_ITERS steps, goes on with
     Sinkhorn from its current plan for the rest of the max_iters pairs.
     With at most SINKHORN_WARMUP pairs allowed it runs Sinkhorn alone.
+
+    Returns the plans and, shape (S, K), the log column potentials v of
+    each kernel: every plan is diag(r)·kernel·diag(exp(v)) for some row
+    scaling r. The proximal steps add v to the next step's log kernel, so
+    the next scaling starts where this one ended.
     """
     max_iters = max(int(max_iters), 1)
     if max_iters <= SINKHORN_WARMUP:
         return _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups)
-    plans = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol, groups)
+    plans, pots = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol, groups)
     mu_rows = np.asarray(mu_rows, dtype=float)
     mu_cols = np.asarray(mu_cols, dtype=float)
     size = kernels.shape[0] // groups
     res = np.abs(plans.sum(axis=1) - mu_cols).reshape(groups, -1).max(axis=1)
     todo = np.repeat(res > tol, size)
     if not todo.any():
-        return plans
+        return plans, pots
     mu_rows, mu_cols = mu_rows[todo], mu_cols[todo]
-    tail, failed = _newton(plans[todo], mu_rows, mu_cols, tol, size)
+    tail, steps, failed = _newton(plans[todo], mu_rows, mu_cols, tol, size)
     if failed.any():
         # go on from the current plan: kernel P/mu with row scaling mu is P
         restart = np.maximum(tail[failed] / mu_rows[failed][:, :, None], KERNEL_FLOOR)
-        tail[failed] = _sinkhorn(restart, mu_rows[failed], mu_cols[failed],
-                                 max_iters - SINKHORN_WARMUP, tol, int(failed.sum()) // size)
+        tail[failed], more = _sinkhorn(restart, mu_rows[failed], mu_cols[failed],
+                                       max_iters - SINKHORN_WARMUP, tol, int(failed.sum()) // size)
+        steps[failed] += more
     plans[todo] = tail
-    return plans
+    pots[todo] += steps
+    return plans, pots
 
 
 def _newton(plans, mu_rows, mu_cols, tol, size):
@@ -146,35 +153,40 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
     t·νᵀd - muᵀ·log1p(Q·expm1(t·d)), Q = P/mu, which costs one matvec per
     trial and keeps its precision near the optimum.
 
-    As in _sinkhorn, consecutive runs of `size` kernels form a group that
-    is stored once all its column residuals are within tol; its kernels
-    that are within tol wait without stepping. A group with a kernel whose
+    A kernel whose column residual is within tol is stored and leaves the
+    stack at that step, so no further Hessian is built or solved for it,
+    and it gets the plan it gets alone. Consecutive runs of `size` kernels
+    still form a group for the fallback: a group with a kernel whose
     direction is non-finite or no ascent, or whose line search fails, or
-    a group still above tol after NEWTON_ITERS steps, is stored as it
-    stands and flagged. Any floating-point fault raises NumericError.
-    Returns the plans and the per-kernel flags.
+    with a kernel still above tol after NEWTON_ITERS steps, is stored as
+    it stands and flagged, together with its kernels stored before. Any
+    floating-point fault raises NumericError. Returns the plans, the sum
+    of the steps t·d of each kernel (its log column potentials relative to
+    the input plans) and the per-kernel flags.
     """
     out = np.empty_like(plans)
-    failed = np.zeros(plans.shape[0], dtype=bool)
+    pots = np.empty(mu_cols.shape)
+    failed = np.zeros(plans.shape[0] // size, dtype=bool)
     live = np.arange(plans.shape[0])
     diag = np.arange(plans.shape[2])
     stuck = np.zeros(plans.shape[0], dtype=bool)
+    v = np.zeros(mu_cols.shape)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for step in range(NEWTON_ITERS + 1):
                 col = plans.sum(axis=1)
                 grad = mu_cols - col
-                res = np.abs(grad).reshape(-1, size * grad.shape[1]).max(axis=1)
-                bad = np.repeat(stuck.reshape(-1, size).any(axis=1), size)
-                done = np.repeat(res <= tol, size) & ~bad
+                done = np.abs(grad).max(axis=1) <= tol
                 if step == NEWTON_ITERS:
-                    bad = ~done
-                stop = done | bad
+                    stuck = stuck | ~done
+                failed[live[stuck] // size] = True
+                stop = done | failed[live // size]
                 if stop.any():
                     out[live[stop]] = plans[stop]
-                    failed[live[bad]] = True
-                    live, plans, col, grad = live[~stop], plans[~stop], col[~stop], grad[~stop]
-                    mu_rows, mu_cols = mu_rows[~stop], mu_cols[~stop]
+                    pots[live[stop]] = v[stop]
+                    keep = ~stop
+                    live, plans, col, grad = live[keep], plans[keep], col[keep], grad[keep]
+                    mu_rows, mu_cols, v = mu_rows[keep], mu_cols[keep], v[keep]
                 if live.size == 0:
                     break
                 q = plans / mu_rows[:, :, None]
@@ -186,10 +198,8 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
                 d[~finite] = 0.0
                 slope = (grad * d).sum(axis=1)
                 lin = (mu_cols * d).sum(axis=1)
-                # kernels already within tol wait for their group without stepping
-                active = np.abs(grad).max(axis=1) > tol
-                stuck = active & ~(finite & (slope > 0.0))
-                pending = active & ~stuck
+                stuck = ~(finite & (slope > 0.0))
+                pending = ~stuck
                 t = np.where(pending, 30.0 / np.maximum(np.abs(d).max(axis=1), 30.0), 0.0)
                 for _ in range(ARMIJO_TRIALS):
                     x = (q @ np.expm1(t[:, None] * d)[:, :, None])[:, :, 0]
@@ -200,25 +210,29 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
                     t[pending] *= 0.5
                 stuck |= pending
                 t[pending] = 0.0
-                plans = plans * np.exp(t[:, None] * d)[:, None, :]
+                d *= t[:, None]
+                v += d
+                plans = plans * np.exp(d)[:, None, :]
                 plans *= (mu_rows / plans.sum(axis=2))[:, :, None]
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise NumericError("newton scaling step failed: %s" % exc) from exc
-    return out, failed
+    return out, pots, np.repeat(failed, size)
 
 
 def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
-    Arguments as in _scale. Runs at most max_iters scaling pairs, each half
-    pair one batched matmul and one division over the live kernels. Row
-    sums are exact because the row scaling runs last. Every 4th pair the
-    column residuals are checked: a group whose residuals are all within
-    tol is stored and dropped from the scaling, so it stops at the same
-    pair as it would alone.
+    Arguments and return values as in _scale. Runs at most max_iters
+    scaling pairs, each half pair one batched matmul and one division over
+    the live kernels. Row sums are exact because the row scaling runs
+    last. Every 4th pair the column residuals are checked: a group whose
+    residuals are all within tol is stored and dropped from the scaling,
+    so it stops at the same pair as it would alone. The log column
+    potentials are the logarithm of the final column scaling.
     """
     size = kernels.shape[0] // groups
     plans = np.empty_like(kernels) if groups > 1 else None
+    pots = np.empty((kernels.shape[0], kernels.shape[2]))
     live = np.arange(kernels.shape[0])
     mu_rows = np.asarray(mu_rows, dtype=float)
     mu_cols = np.asarray(mu_cols, dtype=float)
@@ -233,6 +247,7 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
                 done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
                 if done.any():
                     plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                    pots[live[done]] = np.log(b[done])
                     keep = ~done
                     live, kernels = live[keep], kernels[keep]
                     mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
@@ -242,10 +257,11 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
     final = (a[:, :, None] * kernels) * b[:, None, :]
+    pots[live] = np.log(b)
     if plans is None:
-        return final
+        return final, pots
     plans[live] = final
-    return plans
+    return plans, pots
 
 
 def _round_feasible(plan, mu_row, mu_col):
@@ -298,7 +314,7 @@ def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
     mu_row, mu_col = _marginals(kernel.shape, mu_row, mu_col)
     if int(inner_iters) < 1:
         raise DomainError("inner_iters must be at least 1")
-    plan = _scale(kernel[None], mu_row[None], mu_col[None], int(inner_iters), 1e-12)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col[None], int(inner_iters), 1e-12)[0][0]
     return TransportPlan(plan, mu_row, mu_col)
 
 
@@ -360,6 +376,11 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     The rescaling is SINKHORN_WARMUP Sinkhorn pairs and then semi-dual
     Newton steps; a solve that Newton leaves above SCALING_TOL after
     NEWTON_ITERS steps goes on with Sinkhorn, up to 500 pairs in all.
+    Each start's kernel carries its log column potentials from one
+    proximal step to the next: they are added to the log kernel before its
+    rows are shifted, so each scaling after the first starts where the
+    previous one ended, which near the proximal fixed point is close to
+    where it ends.
     The cost rows are shifted by their minimum in log space before
     exponentiation and the kernel is floored at 1e-300, so beta as small
     as the default never overflows.
@@ -426,22 +447,27 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     by_shape = {}
     for g, plan in enumerate(plans):
         by_shape.setdefault(plan.shape, []).append(g)
+    # each (space, start) kernel carries its log column potentials from one
+    # proximal step to the next; they start at 0, so the first step is cold
     classes = [(members, shape,
                 np.repeat(np.stack([sides[g][1] for g in members]), shape[0], axis=0),
-                np.repeat(np.stack([cols[g][1] for g in members]), shape[0], axis=0))
+                np.repeat(np.stack([cols[g][1] for g in members]), shape[0], axis=0),
+                np.zeros((len(members), shape[0], shape[2])))
                for shape, members in by_shape.items()]
     for _ in range(cfg.sinkhorn_iters):
-        for members, shape, mu_rows, mu_cols in classes:
+        for members, shape, mu_rows, mu_cols, pots in classes:
             kernels = np.empty((len(members),) + shape)
-            for g, out in zip(members, kernels):
+            for g, out, pot in zip(members, kernels, pots):
                 logk = (-inv_beta) * _costs(sides[g][0], cols[g][2], offsets[g], plans[g])
+                logk += pot[:, None, :]
                 logk -= logk.max(axis=2, keepdims=True)
                 np.exp(logk, out=out)
                 out *= plans[g]
                 np.maximum(out, KERNEL_FLOOR, out=out)
-            batch = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_cols, 500,
-                           SCALING_TOL, groups=len(members)).reshape(kernels.shape)
-            for g, runs_g in zip(members, batch):
+            batch, steps = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_cols,
+                                  500, SCALING_TOL, groups=len(members))
+            pots += steps.reshape(pots.shape)
+            for g, runs_g in zip(members, batch.reshape(kernels.shape)):
                 plans[g] = np.stack([_round_feasible(q, sides[g][1], cols[g][1])
                                      for q in runs_g])
     return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, p, raw, cfg.polish_iters)
@@ -545,18 +571,20 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     pairs; a Newton fallback goes on with Sinkhorn, up to 10000 pairs in
     all.
     """
-    if float(beta) <= 0.0:
-        raise DomainError("beta must be positive")
+    # SolverConfig's domain: below the smallest normal float, cost/beta overflows
+    beta = float(beta)
+    if not (beta >= np.finfo(float).tiny and np.isfinite(beta)):
+        raise DomainError("beta must be finite and at least %.17g" % np.finfo(float).tiny)
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
         raise DomainError("cost must be a nonempty 2-dimensional matrix")
     if not np.all(np.isfinite(cost)):
         raise DomainError("cost must be finite")
     mu_row, mu_col = _marginals(cost.shape, mu_row, mu_col)
-    logk = cost * (-1.0 / float(beta))
+    logk = cost * (-1.0 / beta)
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0]
+    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0][0]
     plan = _round_feasible(plan, mu_row, mu_col)
     return TransportPlan(plan, mu_row, mu_col)

@@ -67,7 +67,13 @@ def _solve_closed_form(b, x, mu_w, alpha):
     alpha. At alpha = 0 the formula collapses to the plain division by the
     measure outer product.
     """
-    h = np.sqrt(2.0 * alpha) * x + 1j * np.diag(mu_w)
+    # 2·alpha overflows above half the largest float, where the root is
+    # taken as √2·√alpha instead
+    if alpha <= np.finfo(float).max / 2.0:
+        root = np.sqrt(2.0 * alpha)
+    else:
+        root = np.sqrt(2.0) * np.sqrt(alpha)
+    h = root * x + 1j * np.diag(mu_w)
     y = np.linalg.solve(h, b)
     w = np.linalg.solve(np.conj(h), y.T).T
     return np.real(w)

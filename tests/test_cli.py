@@ -77,6 +77,18 @@ def test_estimate_smoothed_exact_mode(tmp_path):
     assert read_step_function(out).partition_count == 3
 
 
+def test_estimate_smoothed_at_the_largest_alphas(tmp_path):
+    """alpha = 1e308 is finite, so sgwb takes it like any other weight;
+    2·alpha overflows there, and the estimate must still come out."""
+    pop = _sample_dir(tmp_path, "pop")
+    for alpha in ("1e300", "1e308"):
+        out = str(tmp_path / ("w%s.txt" % alpha))
+        code = main(["estimate", "--in", pop, "--method", "sgwb", "--alpha=" + alpha,
+                     "--outer", "1", "--k", "3", "--out", out])
+        assert code == 0
+        assert np.all(np.isfinite(read_step_function(out).values))
+
+
 def test_eval_mse_and_csv_append(tmp_path, capsys):
     pop = _sample_dir(tmp_path, "pop")
     est = str(tmp_path / "w.txt")

@@ -252,6 +252,10 @@ def test_entropic_ot_validation(rng):
     cost = rng.random((3, 3))
     with pytest.raises(DomainError):
         entropic_ot(cost, mu, mu, beta=0.0)
+    # SolverConfig's domain: finite and at least the smallest normal float
+    for beta in (float("nan"), float("inf"), 5e-324):
+        with pytest.raises(DomainError):
+            entropic_ot(cost, mu, mu, beta=beta)
     with pytest.raises(DomainError):
         entropic_ot(np.full((3, 3), np.nan), mu, mu, beta=0.1)
     with pytest.raises(DomainError):
@@ -292,17 +296,17 @@ def test_converged_group_stops_at_its_own_pair(rng):
     mu_rows = np.stack([random_measure(rng, n) for _ in range(4)])
     mu_cols = np.repeat(np.stack([random_measure(rng, k) for _ in range(2)]), 2, axis=0)
     assert not np.array_equal(mu_cols[0], mu_cols[2])
-    batch = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=2)
-    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 500, SCALING_TOL)
-    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 500, SCALING_TOL)
+    batch = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=2)[0]
+    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 500, SCALING_TOL)[0]
+    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 500, SCALING_TOL)[0]
     np.testing.assert_array_equal(batch[:2], alone_fast)
     np.testing.assert_array_equal(batch[2:], alone_slow)
     assert float(np.abs(batch[:2].sum(axis=1) - mu_cols[0]).max()) <= SCALING_TOL
     # the first check comes after pair 4: the fast group stopped there
     np.testing.assert_array_equal(alone_fast, _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 5,
-                                                     SCALING_TOL))
+                                                     SCALING_TOL)[0])
     assert not np.array_equal(alone_slow, _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 5,
-                                                 SCALING_TOL))
+                                                 SCALING_TOL)[0])
 
 
 def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
@@ -363,7 +367,7 @@ def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, 
     mu_cols = np.stack([random_measure(rng, k) for _ in range(count)])
     expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol, groups)
     scale = _scale if cap <= gw.SINKHORN_WARMUP else gw._sinkhorn
-    got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)
+    got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)[0]
     np.testing.assert_array_equal(got, expected)
 
 
@@ -385,7 +389,7 @@ def test_stack_past_the_cache_equals_its_one_slice_run(rng):
     widths spread their Sinkhorn stops from pair 24 to the cap, so groups
     leave the stack at many checks."""
     kernels, mu_rows, mu_cols = _round_stack(rng)
-    got = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    got = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)[0]
     expected = _reference_scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
     assert np.array_equal(got, expected)
 
@@ -398,43 +402,46 @@ def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
     float precision, and each group of 4 kernels gets the plans it gets
     scaled alone."""
     kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.01)
-    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)[0]
     assert np.mean(np.abs(sinkhorn.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL) > 0.5
     real_newton, fallbacks = gw._newton, []
 
     def recording_newton(*args):
-        plans, failed = real_newton(*args)
+        plans, pots, failed = real_newton(*args)
         fallbacks.append(int(failed.sum()))
-        return plans, failed
+        return plans, pots, failed
 
     with mock.patch.object(gw, "_newton", recording_newton):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=20)
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=20)[0]
     assert fallbacks == [0]
     assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
     np.testing.assert_allclose(plans.sum(axis=2), mu_rows, rtol=1e-14, atol=0.0)
     for lo in range(0, 80, 4):
         alone = _scale(kernels[lo:lo + 4], mu_rows[lo:lo + 4], mu_cols[lo:lo + 4], 500,
-                       SCALING_TOL)
+                       SCALING_TOL)[0]
         np.testing.assert_array_equal(plans[lo:lo + 4], alone)
 
 
 def test_converged_kernel_waits_for_its_group_without_newton_steps(rng):
     """A rank-one kernel is within SCALING_TOL after the first Sinkhorn
-    pair. Grouped with a kernel that needs Newton steps, it waits for its
-    group instead of stepping on a rounding-level direction, whose line
-    search would fail and send the group back to Sinkhorn."""
+    pair. Grouped with a kernel that needs Newton steps, it leaves the
+    Newton stack at the first check without a step, instead of stepping on
+    a rounding-level direction, whose line search would fail and send the
+    group back to Sinkhorn."""
     kernels, mu_rows, mu_cols = (s[:2].copy() for s in _round_stack(rng, widest=0.01))
     kernels[0] = np.outer(rng.random(200) + 0.5, rng.random(29) + 0.5)
-    real_newton, fallbacks = gw._newton, []
+    real_newton, fallbacks, steps = gw._newton, [], []
 
     def recording_newton(*args):
-        plans, failed = real_newton(*args)
+        plans, pots, failed = real_newton(*args)
         fallbacks.append(int(failed.sum()))
-        return plans, failed
+        steps.append(pots)
+        return plans, pots, failed
 
     with mock.patch.object(gw, "_newton", recording_newton):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)[0]
     assert fallbacks == [0]
+    assert not np.any(steps[0][0]) and np.any(steps[0][1])
     assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
 
 
@@ -446,13 +453,75 @@ def test_newton_fallback_goes_on_with_sinkhorn(rng):
     gets the plans it gets alone."""
     kernels, mu_rows, mu_cols = (s[::8] for s in _round_stack(rng, widest=0.01))
     with mock.patch.object(gw, "NEWTON_ITERS", 0):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)[0]
         for lo in range(0, 10, 2):
             alone = _scale(kernels[lo:lo + 2], mu_rows[lo:lo + 2], mu_cols[lo:lo + 2], 500,
-                           SCALING_TOL)
+                           SCALING_TOL)[0]
             np.testing.assert_array_equal(plans[lo:lo + 2], alone)
-    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)[0]
     np.testing.assert_allclose(plans, sinkhorn, rtol=0.0, atol=1e-9)
+
+
+def _record_newton(flags):
+    """A wrapper of gw._newton that appends each call's fallback flags."""
+    real_newton = gw._newton
+
+    def recording_newton(*args):
+        plans, pots, failed = real_newton(*args)
+        flags.append(failed)
+        return plans, pots, failed
+
+    return recording_newton
+
+
+@pytest.mark.parametrize("path", ["sinkhorn", "newton", "fallback"])
+def test_potentials_reproduce_each_plan(rng, path):
+    """The log column potentials v that _scale returns give each plan as
+    diag(r)·K·diag(exp(v)): P / (K·exp(v)) has constant rows, to 1e-12
+    relative, whether the scaling ends in Sinkhorn (the widest groups are
+    stored at checks before the cap), in Newton steps, or in the Sinkhorn
+    fallback after Newton gives up (NEWTON_ITERS = 0)."""
+    kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.2 if path == "sinkhorn" else 0.01)
+    flags = []
+    with mock.patch.object(gw, "_newton", _record_newton(flags)), \
+            mock.patch.object(gw, "NEWTON_ITERS", 0 if path == "fallback" else gw.NEWTON_ITERS):
+        if path == "sinkhorn":
+            plans, pots = _scale(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL,
+                                 groups=80)
+        else:
+            kernels, mu_rows, mu_cols = kernels[::4], mu_rows[::4], mu_cols[::4]
+            plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=10)
+    if path == "sinkhorn":
+        assert flags == []
+    elif path == "newton":
+        assert len(flags) == 1 and not flags[0].any()
+        assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
+    else:
+        assert len(flags) == 1 and flags[0].all()
+    rows = plans / (kernels * np.exp(pots)[:, None, :])
+    np.testing.assert_allclose(rows, np.repeat(rows[:, :, :1], rows.shape[2], axis=2),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_kernels_in_one_group_get_their_solo_plans_from_newton(rng):
+    """Kernels of criterion 08's round stack that all enter Newton leave
+    its stack each at its own step, so in one group each gets the plan and
+    the potentials it gets scaled alone, bit for bit."""
+    kernels, mu_rows, mu_cols = _round_stack(rng)
+    warm = gw._sinkhorn(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL, groups=80)[0]
+    pick = np.flatnonzero(np.abs(warm.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL)[::3]
+    assert pick.size >= 4
+    kernels, mu_rows, mu_cols = kernels[pick], mu_rows[pick], mu_cols[pick]
+    flags = []
+    with mock.patch.object(gw, "_newton", _record_newton(flags)):
+        plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)
+        alone = [_scale(kernels[s:s + 1], mu_rows[s:s + 1], mu_cols[s:s + 1], 500, SCALING_TOL)
+                 for s in range(pick.size)]
+    assert [f.size for f in flags] == [pick.size] + [1] * pick.size
+    assert not any(f.any() for f in flags)
+    for s, (plan, pot) in enumerate(alone):
+        np.testing.assert_array_equal(plans[s], plan[0])
+        np.testing.assert_array_equal(pots[s], pot[0])
 
 
 def test_newton_float_fault_is_a_numeric_error():
@@ -502,9 +571,9 @@ def test_every_scaling_converges_in_a_fit_and_its_score():
     residuals = []
 
     def recording_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
-        plans = _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups)
+        plans, pots = _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups)
         residuals.append(float(np.abs(plans.sum(axis=1) - mu_cols).max()))
-        return plans
+        return plans, pots
 
     with mock.patch("gwgraphon.gw._scale", recording_scale):
         estimate = estimate_gwb(graphs)

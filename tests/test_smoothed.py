@@ -154,3 +154,22 @@ def test_update_output_is_well_formed(rng):
         values = smoothed_barycenter_update(graphs, plans, mu_w, 0.05, mode)
         np.testing.assert_array_equal(values, values.T)
         assert float(values.min()) >= 0.0 and float(values.max()) <= 1.0
+
+
+def test_closed_form_takes_alpha_past_half_the_largest_float(rng):
+    """2·alpha overflows once alpha passes half the largest float; the
+    closed form then takes its root as √2·√alpha and stays finite, while
+    every alpha up to that bound keeps the plain √(2·alpha)."""
+    k = 6
+    x = build_laplacian_filter(k)
+    x = x.T @ x
+    b = rng.random((k, k))
+    b = 0.5 * (b + b.T)
+    mu = rng.random(k) + 0.2
+    mu /= mu.sum()
+    for alpha in (1e308, np.finfo(float).max):
+        assert np.all(np.isfinite(_solve_closed_form(b, x, mu, alpha)))
+    half = np.finfo(float).max / 2.0
+    h = np.sqrt(2.0 * half) * x + 1j * np.diag(mu)
+    expected = np.real(np.linalg.solve(np.conj(h), np.linalg.solve(h, b).T).T)
+    np.testing.assert_array_equal(_solve_closed_form(b, x, mu, half), expected)
