@@ -45,7 +45,7 @@ class GwResult:
 
 
 def _as_space(obj):
-    """Matrix-plus-measure view of a graph, step function, or (matrix, measure) pair."""
+    """Matrix-plus-measure view of a graph, step function, or checked (matrix, measure) pair."""
     if isinstance(obj, ObservedGraph):
         return obj.adjacency, obj.measure
     if isinstance(obj, StepFunction):
@@ -60,37 +60,31 @@ def _as_space(obj):
             raise DomainError("matrix must be 2-dimensional")
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square, got shape %s" % (matrix.shape,))
+    if not np.all(np.isfinite(matrix.data if sp.issparse(matrix) else matrix)):
+        raise DomainError("matrix entries must be finite")
     measure = np.asarray(measure, dtype=float).ravel()
     if measure.size != matrix.shape[0]:
         raise DomainError("measure length %d does not match matrix size %d"
                           % (measure.size, matrix.shape[0]))
-    if np.any(measure <= 0.0):
-        raise DomainError("measure entries must be strictly positive")
+    if not np.all((measure > 0.0) & np.isfinite(measure)):
+        raise DomainError("measure entries must be finite and strictly positive")
     return matrix, measure
-
-
-def _squared(matrix):
-    # matrix ⊙ matrix, for dense or sparse input
-    return matrix.multiply(matrix) if sp.issparse(matrix) else matrix * matrix
 
 
 def gw_cost_offset(a, mu_a, w, mu_w):
     """Plan-independent part of the squared-difference transport cost.
 
     Returns the N x K matrix (a ⊙ a)·mu_a·1ᵀ + 1·(mu_wᵀ·(w ⊙ w)); subtracting
-    2·a·T·wᵀ from it gives the full cost matrix at plan T.
+    2·a·T·wᵀ from it gives the full cost matrix at plan T. Both sides are
+    checked as in _as_space, and an offset that overflows raises NumericError.
     """
-    if not sp.issparse(a):
-        a = np.asarray(a, dtype=float)
-    if not sp.issparse(w):
-        w = np.asarray(w, dtype=float)
-    mu_a = np.asarray(mu_a, dtype=float).ravel()
-    mu_w = np.asarray(mu_w, dtype=float).ravel()
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DomainError("cost offset needs square matrices")
-    if mu_a.size != a.shape[0] or mu_w.size != w.shape[0]:
-        raise DomainError("measure lengths do not match matrix sizes")
-    return (_squared(a) @ mu_a)[:, None] + (_squared(w).T @ mu_w)[None, :]
+    (a, mu_a), (w, mu_w) = _as_space((a, mu_a)), _as_space((w, mu_w))
+    with np.errstate(over="ignore"):
+        sq_a, sq_w = (m.multiply(m) if sp.issparse(m) else m * m for m in (a, w))
+        offset = (sq_a @ mu_a)[:, None] + (sq_w.T @ mu_w)[None, :]
+    if not np.all(np.isfinite(offset)):
+        raise NumericError("cost offset overflows: matrix entries too large")
+    return offset
 
 
 def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
@@ -264,22 +258,24 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     return plans, pots
 
 
-def _round_feasible(plan, mu_row, mu_col):
-    """Round a nearly feasible nonnegative plan onto the marginal polytope.
+def _round_feasible(plans, mu_rows, mu_cols):
+    """Round a stack (S, N, K) of nearly feasible nonnegative plans onto
+    their marginals mu_rows (S or 1, N) and mu_cols (S or 1, K); a single
+    plan is passed as plan[None] with its marginals as mu[None].
 
     Overshooting rows and columns are scaled down, then the missing mass is
-    restored by a nonnegative rank-one correction. The output has exact
-    marginals up to float precision and differs from the input by at most
+    restored by a nonnegative rank-one correction. Each output has exact
+    marginals up to float precision and differs from its input by at most
     the original residual in L1, so a converged plan passes through intact.
     """
-    plan = plan * np.minimum(1.0, mu_row / plan.sum(axis=1))[:, None]
-    plan = plan * np.minimum(1.0, mu_col / plan.sum(axis=0))[None, :]
-    r_err = np.maximum(mu_row - plan.sum(axis=1), 0.0)
-    c_err = np.maximum(mu_col - plan.sum(axis=0), 0.0)
-    total = float(r_err.sum())
-    if total > 0.0:
-        plan = plan + np.outer(r_err, c_err) / total
-    return plan
+    plans = plans * np.minimum(1.0, mu_rows / plans.sum(axis=2))[:, :, None]
+    plans *= np.minimum(1.0, mu_cols / plans.sum(axis=1))[:, None, :]
+    r_err = np.maximum(mu_rows - plans.sum(axis=2), 0.0)
+    c_err = np.maximum(mu_cols - plans.sum(axis=1), 0.0)
+    total = r_err.sum(axis=1)
+    total[total == 0.0] = 1.0  # nothing missing: the correction is 0
+    plans += (r_err[:, :, None] * c_err[:, None, :]) / total[:, None, None]
+    return plans
 
 
 def _marginals(shape, mu_row, mu_col):
@@ -419,8 +415,10 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     the scaling costs what the solves need, and each space's restarts leave
     the stack at the check where they would stop scaling alone. Every
     result is therefore bit-identical to proximal_gw of that space and
-    target alone, whatever else is in the batch. Cost build, rounding,
-    polishing and the choice of the best candidate run per space.
+    target alone, whatever else is in the batch. Each proximal step builds
+    the costs of all a space's starts in one product (_costs), and the
+    kernels and their rounding in one pass over each stack. Polishing and
+    the choice of the best candidate run per space.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -432,47 +430,43 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     if len(targets) != len(sides) or len(seeds) != len(sides):
         raise DomainError("got %d spaces, %d targets and %d seeds"
                           % (len(sides), len(targets), len(seeds)))
-    cols = []
-    for target in targets:
-        mat_w, mu_w = _as_space(target)
-        if sp.issparse(mat_w):
-            mat_w = mat_w.toarray()
-        cols.append((mat_w, mu_w, np.ascontiguousarray(mat_w.T)))
+    cols = [(w.toarray() if sp.issparse(w) else w, mu) for w, mu in map(_as_space, targets)]
+    cols = [(w, mu, np.ascontiguousarray(w.T)) for w, mu in cols]
     inv_beta = 1.0 / cfg.beta
     offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
                for (mat_a, mu_a), (mat_w, mu_w, _) in zip(sides, cols)]
     starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, seed)
               for (_, mu_a), (_, mu_w, _), seed in zip(sides, cols, seeds)]
-    plans = [np.stack(anchors) for anchors, _ in starts]
     by_shape = {}
-    for g, plan in enumerate(plans):
-        by_shape.setdefault(plan.shape, []).append(g)
-    # each (space, start) kernel carries its log column potentials from one
-    # proximal step to the next; they start at 0, so the first step is cold
-    classes = [(members, shape,
-                np.repeat(np.stack([sides[g][1] for g in members]), shape[0], axis=0),
-                np.repeat(np.stack([cols[g][1] for g in members]), shape[0], axis=0),
-                np.zeros((len(members), shape[0], shape[2])))
-               for shape, members in by_shape.items()]
-    for _ in range(cfg.sinkhorn_iters):
-        for members, shape, mu_rows, mu_cols, pots in classes:
-            kernels = np.empty((len(members),) + shape)
-            for g, out, pot in zip(members, kernels, pots):
-                logk = (-inv_beta) * _costs(sides[g][0], cols[g][2], offsets[g], plans[g])
-                logk += pot[:, None, :]
-                logk -= logk.max(axis=2, keepdims=True)
-                np.exp(logk, out=out)
-                out *= plans[g]
-                np.maximum(out, KERNEL_FLOOR, out=out)
-            batch, steps = _scale(kernels.reshape((-1,) + kernels.shape[2:]), mu_rows, mu_cols,
+    for g, (anchors, _) in enumerate(starts):
+        by_shape.setdefault((len(anchors),) + anchors[0].shape, []).append(g)
+    plans = {}
+    for (count, n, k), members in by_shape.items():
+        # one (members, S, N, K) stack per size class; each kernel carries its
+        # log column potentials from one proximal step to the next, starting
+        # at 0, so the first step is cold
+        stack = np.stack([starts[g][0] for g in members])
+        mu_rows = np.repeat(np.stack([sides[g][1] for g in members]), count, axis=0)
+        mu_cols = np.repeat(np.stack([cols[g][1] for g in members]), count, axis=0)
+        pots = np.zeros((len(members), count, k))
+        for _ in range(cfg.sinkhorn_iters):
+            kernels = np.empty(stack.shape)
+            for g, out, plan in zip(members, kernels, stack):
+                out[...] = _costs(sides[g][0], cols[g][2], offsets[g], plan)
+            kernels *= -inv_beta
+            kernels += pots[:, :, None, :]
+            kernels -= kernels.max(axis=3, keepdims=True)
+            np.exp(kernels, out=kernels)
+            kernels *= stack
+            np.maximum(kernels, KERNEL_FLOOR, out=kernels)
+            batch, steps = _scale(kernels.reshape(-1, n, k), mu_rows, mu_cols,
                                   500, SCALING_TOL, groups=len(members))
             pots += steps.reshape(pots.shape)
-            for g, runs_g in zip(members, batch.reshape(kernels.shape)):
-                plans[g] = np.stack([_round_feasible(q, sides[g][1], cols[g][1])
-                                     for q in runs_g])
-    return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, p, raw, cfg.polish_iters)
-            for (mat_a, mu_a), (mat_w, mu_w, w_t), offset, p, (_, raw)
-            in zip(sides, cols, offsets, plans, starts)]
+            stack = _round_feasible(batch, mu_rows, mu_cols).reshape(stack.shape)
+        plans.update(zip(members, stack))
+    return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans[g], raw, cfg.polish_iters)
+            for g, ((mat_a, mu_a), (mat_w, mu_w, w_t), offset, (_, raw))
+            in enumerate(zip(sides, cols, offsets, starts))]
 
 
 def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_iters):
@@ -482,10 +476,10 @@ def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_it
         dense_a = mat_a.toarray() if sp.issparse(mat_a) else mat_a
         batch = _descend_plans(plans, dense_a, mat_w, mu_a, mu_w, polish_iters)
         batch = np.maximum(batch, 0.0)
-        polished = [_round_feasible(p, mu_a, mu_w) for p in batch]
+        polished = _round_feasible(batch, mu_a[None], mu_w[None])
         # rounding back onto the polytope can cost more than the descent
         # gained, so the unpolished candidates stay in the pool
-        plans = np.concatenate([plans, np.stack(polished)])
+        plans = np.concatenate([plans, polished])
     if raw:
         plans = np.concatenate([plans, np.stack(raw)])
     vals = _objective(mat_a, w_t, offset, plans)
@@ -496,9 +490,15 @@ def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_it
 
 
 def _costs(mat_a, w_t, offset, plans):
-    """The cost matrix offset - 2·A·T·Wᵀ at each plan T of a stack, with
-    w_t = Wᵀ and offset from gw_cost_offset; mat_a may be sparse."""
-    return offset[None] - 2.0 * (np.stack([mat_a @ plan for plan in plans]) @ w_t)
+    """The cost matrix offset - 2·A·T·Wᵀ at each plan T of a stack (S, N, K),
+    with w_t = Wᵀ and offset from gw_cost_offset; mat_a may be sparse. A
+    multiplies all S plans at once, laid side by side as N x S·K."""
+    count, n, k = plans.shape
+    side = mat_a @ plans.transpose(1, 0, 2).reshape(n, count * k)
+    costs = side.reshape(n, count, k).transpose(1, 0, 2) @ w_t
+    costs *= -2.0
+    costs += offset
+    return costs
 
 
 def _objective(mat_a, w_t, offset, plans):
@@ -585,6 +585,5 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
-    plan = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0][0]
-    plan = _round_feasible(plan, mu_row, mu_col)
-    return TransportPlan(plan, mu_row, mu_col)
+    plans = _scale(kernel[None], mu_row[None], mu_col[None], 10000, SCALING_TOL)[0]
+    return TransportPlan(_round_feasible(plans, mu_row[None], mu_col[None])[0], mu_row, mu_col)

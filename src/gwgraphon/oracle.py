@@ -124,8 +124,8 @@ def _face_minimum(plan, a, b, mu_a, mu_b, offset, support_tol):
         return None
     flat = np.zeros(nm)
     flat[best_flat[0]] = best_flat[1]
-    candidate = _round_feasible(flat.reshape(n, m), mu_a, mu_b)
-    return float(_objective(a, b.T, offset, candidate[None])[0])
+    candidate = _round_feasible(flat.reshape(1, n, m), mu_a[None], mu_b[None])
+    return float(_objective(a, b.T, offset, candidate)[0])
 
 
 def gw_distance_exact_small(a, b, mu_a, mu_b):
@@ -161,14 +161,14 @@ def gw_distance_exact_small(a, b, mu_a, mu_b):
         rounded = np.maximum(_project_plans(plans, mu_a, mu_b, 30), 0.0)
         vals = _objective(a, b.T, offset, rounded)
         order = np.argsort(vals)
-        top = _round_feasible(rounded[order[0]], mu_a, mu_b)
-        best = min(best, float(_objective(a, b.T, offset, top[None])[0]))
+        top = _round_feasible(rounded[order[0]][None], mu_a[None], mu_b[None])
+        best = min(best, float(_objective(a, b.T, offset, top)[0]))
         for p in order[:8]:
             key = rounded[p].round(7).tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            candidate = _round_feasible(rounded[p], mu_a, mu_b)
+            candidate = _round_feasible(rounded[p][None], mu_a[None], mu_b[None])[0]
             supports = set()
             for tol in (1e-3, 1e-8):
                 support = np.flatnonzero(candidate.ravel() > tol).tobytes()

@@ -273,16 +273,23 @@ def test_non_utf8_inputs_exit_one(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
-    """A population of three xy graphs of 10-20 nodes, and a 3-block estimate."""
+    """A population of three xy graphs of 10-20 nodes, a 3-block estimate,
+    and a population of two xy and two abs_diff graphs of 6-12 nodes."""
     root = tmp_path_factory.mktemp("cli_property")
     pop = root / "pop"
     pop.mkdir()
     for i, g in enumerate(sample_population(GraphonSpec("xy"), 3, [10, 20], seed=2)):
         write_edge_list(g, pop / ("graph_%03d.txt" % i))
+    mixed = root / "mixed"
+    mixed.mkdir()
+    graphs = (sample_population(GraphonSpec("xy"), 2, [6, 12], seed=3)
+              + sample_population(GraphonSpec("abs_diff"), 2, [6, 12], seed=4))
+    for i, g in enumerate(graphs):
+        write_edge_list(g, mixed / ("graph_%03d.txt" % i))
     est = root / "w.txt"
     write_step_function(StepFunction(np.array([[0.2, 0.4, 0.5], [0.4, 0.6, 0.7],
                                                [0.5, 0.7, 0.9]]), [0.4, 0.35, 0.25]), est)
-    return root, str(pop), str(est)
+    return root, str(pop), str(est), str(mixed)
 
 
 def _mostly(valid, odd):
@@ -297,13 +304,15 @@ _ODD_NUMBERS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-3
 _COUNTS = _mostly(st.integers(1, 3), st.integers(-2, 0)).map(str)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["sample", "estimate", "eval"]), seed=_SEEDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["sample", "estimate", "eval", "cluster"]),
+       seed=_SEEDS)
 def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, command, seed):
     """Whatever the seed (negative or past 2**64 included) and the numeric
-    options (nan, inf and negative included), sample, estimate and eval end
-    in exit status 0, 1 or 2 and never raise."""
-    root, pop, est = small_inputs
+    options (nan, inf and negative included), sample, estimate, eval and
+    cluster end in exit status 0, 1 or 2 and never raise. cluster draws
+    cluster counts and limits past the population size of 4 as well."""
+    root, pop, est, mixed = small_inputs
     if command == "sample":
         argv = ["sample", "--graphon", "xy", "--count=" + data.draw(_COUNTS),
                 "--nodes=" + data.draw(_mostly(st.sampled_from(["3", "12", "3:12"]),
@@ -317,6 +326,13 @@ def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, comman
                 "--outer=" + data.draw(_COUNTS), "--sinkhorn=" + data.draw(_COUNTS),
                 "--k=" + data.draw(_mostly(st.sampled_from(["auto", "2", "3"]),
                                            st.sampled_from(["-1", "1", "25", "x"])))]
+    elif command == "cluster":
+        argv = ["cluster", "--in", mixed, "--out", str(root / "clusters"),
+                "--clusters=" + data.draw(_mostly(st.integers(1, 4), st.integers(-1, 6)).map(str)),
+                "--rounds=" + data.draw(_COUNTS)]
+        limit = data.draw(st.one_of(st.none(), _mostly(st.integers(1, 4), st.integers(-1, 6))))
+        if limit is not None:
+            argv.append("--limit=%d" % limit)
     else:
         argv = ["eval", "--estimate", est, "--truth", "xy",
                 "--metric=" + data.draw(st.sampled_from(["mse", "gw"])),

@@ -199,6 +199,142 @@ def test_objective_is_the_four_index_sum(n, k, count, sparse, restarts, seed):
     assert res.distance_sq == max(float(gw._objective(mat_a, w_t, offset, plan[None])[0]), 0.0)
 
 
+def _costs_per_start(mat_a, w_t, offset, plans):
+    """The cost build with one product per start, as it was before _costs
+    multiplied all the starts of a space at once."""
+    return offset[None] - 2.0 * (np.stack([mat_a @ plan for plan in plans]) @ w_t)
+
+
+def _cost_inputs(rng, n, k, count, density=1.0):
+    a = rng.random((n, n)) * (rng.random((n, n)) < density)
+    w = rng.random((k, k))
+    offset = gw_cost_offset(a, random_measure(rng, n), w, random_measure(rng, k))
+    return a, np.ascontiguousarray(w.T), offset, rng.random((count, n, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 80), k=st.integers(1, 80), count=st.integers(1, 8),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_stacked_cost_build_is_exact_on_sparse_sides(n, k, count, density, seed):
+    """On a CSR side the one product with all the starts side by side sums
+    each output entry in the order of the per-start products, at any
+    width, so _costs equals them bit for bit."""
+    a, w_t, offset, plans = _cost_inputs(np.random.default_rng(seed), n, k, count, density)
+    a = sp.csr_matrix(a)
+    np.testing.assert_array_equal(gw._costs(a, w_t, offset, plans),
+                                  _costs_per_start(a, w_t, offset, plans))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from([(300, 29), (300, 52), (1000, 37), (1000, 50)]),
+       count=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_stacked_cost_build_is_exact_at_the_scoring_shapes(shape, count, seed):
+    """On the dense references of the scorings (resolution 300 against 29
+    or 52 blocks, 1000 against 37 or 50) with up to 4 starts, the one
+    product equals the per-start products bit for bit, which keeps the
+    scores of these estimates what they were. This is a property of the
+    BLAS build: at other dense shapes it may differ by an ulp."""
+    a, w_t, offset, plans = _cost_inputs(np.random.default_rng(seed), *shape, count)
+    np.testing.assert_array_equal(gw._costs(a, w_t, offset, plans),
+                                  _costs_per_start(a, w_t, offset, plans))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 300), k=st.one_of(st.integers(1, 60), st.just(300)),
+       count=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_stacked_cost_build_is_close_on_dense_sides(n, k, count, seed):
+    """On any dense side, K = 300 included, the one product differs from
+    the per-start products by at most 1e-14 of the largest cost."""
+    a, w_t, offset, plans = _cost_inputs(np.random.default_rng(seed), n, k, count)
+    expected = _costs_per_start(a, w_t, offset, plans)
+    got = gw._costs(a, w_t, offset, plans)
+    assert float(np.abs(got - expected).max()) <= 1e-14 * float(np.abs(expected).max())
+
+
+def _round_per_plan(plan, mu_row, mu_col):
+    """_round_feasible of one plan, as it was written before it took stacks."""
+    plan = plan * np.minimum(1.0, mu_row / plan.sum(axis=1))[:, None]
+    plan = plan * np.minimum(1.0, mu_col / plan.sum(axis=0))[None, :]
+    r_err = np.maximum(mu_row - plan.sum(axis=1), 0.0)
+    c_err = np.maximum(mu_col - plan.sum(axis=0), 0.0)
+    total = float(r_err.sum())
+    if total > 0.0:
+        plan = plan + np.outer(r_err, c_err) / total
+    return plan
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 40),
+       feasible=st.lists(st.booleans(), min_size=1, max_size=6), seed=st.integers(0, 2 ** 16))
+def test_stacked_rounding_equals_the_per_plan_form(n, k, feasible, seed):
+    """_round_feasible of a stack equals the per-plan rounding of each
+    member bit for bit, with one marginal pair per plan or one pair for
+    all. A plan given its own row and column sums as marginals is exactly
+    feasible: its residual sums to 0 and it passes through unchanged,
+    next to plans that need both the scaling and the correction."""
+    rng = np.random.default_rng(seed)
+    plans = rng.random((len(feasible), n, k)) * (rng.random((len(feasible), n, k)) < 0.8)
+    plans += 1e-3
+    mu_rows = np.stack([random_measure(rng, n) for _ in feasible])
+    mu_cols = np.stack([random_measure(rng, k) for _ in feasible])
+    for s in np.flatnonzero(feasible):
+        mu_rows[s], mu_cols[s] = plans[s].sum(axis=1), plans[s].sum(axis=0)
+    got = gw._round_feasible(plans, mu_rows, mu_cols)
+    for plan, mu_row, mu_col, exact, out in zip(plans, mu_rows, mu_cols, feasible, got):
+        np.testing.assert_array_equal(out, _round_per_plan(plan, mu_row, mu_col))
+        if exact:
+            np.testing.assert_array_equal(out, plan)
+    shared = gw._round_feasible(plans, mu_rows[-1:], mu_cols[-1:])
+    for plan, out in zip(plans, shared):
+        np.testing.assert_array_equal(out, _round_per_plan(plan, mu_rows[-1], mu_cols[-1]))
+
+
+def _space_with(value, sparse, n=4):
+    matrix = np.full((n, n), 0.3)
+    matrix[0, 1] = matrix[1, 0] = value
+    return sp.csr_matrix(matrix) if sparse else matrix, np.full(n, 1.0 / n)
+
+
+def _solve_paths(bad, good):
+    """Every entry point that takes the pair: both solvers, with the pair
+    as the space and as the target, and the cost offset both ways."""
+    return [lambda: proximal_gw(bad, good), lambda: proximal_gw(good, bad),
+            lambda: proximal_gw_batch([good, bad], [good, good]),
+            lambda: proximal_gw_batch([good, good], [good, bad]),
+            lambda: gw_cost_offset(*bad, *good), lambda: gw_cost_offset(*good, *bad)]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_a_domain_error(sparse, value):
+    """A nan or infinite matrix entry, dense or stored in a CSR matrix, or
+    a non-finite measure entry is a DomainError on either side, before any
+    arithmetic can warn."""
+    good = _space_with(0.5, False, 3)
+    matrix, mu = _space_with(value, sparse)
+    bad_measure = _space_with(0.5, sparse)[0], np.array([0.25, 0.25, 0.25, value])
+    for bad in ((matrix, mu), bad_measure):
+        for solve in _solve_paths(bad, good):
+            with pytest.raises(DomainError):
+                solve()
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("value", [1e160, 1e200, -1e200])
+def test_overflowing_offset_is_a_numeric_error(sparse, value):
+    """Finite entries whose squares overflow the cost offset raise
+    NumericError on either side, with no RuntimeWarning on the way; large
+    entries that leave it finite solve as before."""
+    good = _space_with(0.5, False, 3)
+    for solve in _solve_paths(_space_with(value, sparse), good):
+        with pytest.raises(NumericError):
+            solve()
+    large = _space_with(1e100, sparse)
+    results = [proximal_gw(large, good), proximal_gw(good, large)]
+    results += proximal_gw_batch([good, large], [large, good])
+    assert all(np.isfinite(res.distance_sq) for res in results)
+
+
 def test_sinkhorn_projection_hits_marginals(rng):
     kernel = rng.random((6, 4)) + 0.05
     mu_row = random_measure(rng, 6)
