@@ -1,9 +1,9 @@
 """Exercise the transport layer on spaces small enough to solve exactly.
 
 On instances with at most 16 coupling entries the global optimum of the
-quadratic transport objective is computable by enumerating the polytope
-vertices and polishing stationary faces, which gives a ground truth for the
-proximal solver. The default single-start solve already lands close; adding
+quadratic transport objective is computable exactly, by solving the
+stationarity system on every face of the transport polytope, which gives a
+ground truth for the proximal solver. The default single-start solve already lands close; adding
 restarts and a descent polish closes most of the remaining gap.
 """
 

@@ -294,6 +294,8 @@ def _benchmark_cell(family, method, trial, args, n_min, n_max) -> ResultRow:
 
 
 def _cmd_benchmark(args) -> int:
+    # the seed domain of every other command: SolverConfig's [0, 2**64)
+    _solver_config(seed=args.seed)
     families = _parse_families(args.families)
     methods = _parse_methods(args.methods)
     if args.trials < 1:

@@ -2,8 +2,9 @@
 
 Cost offsets, the proximal-point solver for the squared 2-order GW distance
 with its restart anchors and descent polish, the objective every plan is
-scored by, and plain entropic optimal transport. The brute-force oracle
-for tiny instances lives in oracle.py, which builds on this module.
+scored by, and plain entropic optimal transport. The exact oracle for
+tiny instances lives in oracle.py, which takes only the input checks and
+the cost offset from this module.
 """
 
 from __future__ import annotations
@@ -379,7 +380,8 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     where it ends.
     The cost rows are shifted by their minimum in log space before
     exponentiation and the kernel is floored at 1e-300, so beta as small
-    as the default never overflows.
+    as the default never overflows; a cost/beta past the largest float
+    raises NumericError.
 
     With cfg.restarts > 1 the loop also runs from the mass-sorted monotone
     and antitone couplings and then seeded random anchors, and keeps the
@@ -453,7 +455,7 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
             kernels = np.empty(stack.shape)
             for g, out, plan in zip(members, kernels, stack):
                 out[...] = _costs(sides[g][0], cols[g][2], offsets[g], plan)
-            kernels *= -inv_beta
+            _log_kernel(kernels, inv_beta)
             kernels += pots[:, :, None, :]
             kernels -= kernels.max(axis=3, keepdims=True)
             np.exp(kernels, out=kernels)
@@ -467,6 +469,17 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans[g], raw, cfg.polish_iters)
             for g, ((mat_a, mu_a), (mat_w, mu_w, w_t), offset, (_, raw))
             in enumerate(zip(sides, cols, offsets, starts))]
+
+
+def _log_kernel(costs, inv_beta):
+    """Scale costs by -inv_beta in place, the log kernel before its row
+    shift; a product past the largest float raises NumericError."""
+    try:
+        with np.errstate(over="raise"):
+            costs *= -inv_beta
+    except FloatingPointError as exc:
+        raise NumericError("log kernel overflows: cost/beta passes the largest float") from exc
+    return costs
 
 
 def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_iters):
@@ -506,10 +519,10 @@ def _objective(mat_a, w_t, offset, plans):
     return (_costs(mat_a, w_t, offset, plans) * plans).sum(axis=(1, 2))
 
 
-def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
+def _descend_plans(plans, a, b, mu_row, mu_col, iters):
     """Batched projected gradient descent with exact line search on the
     quadratic transport objective; a and b must be dense. Stops early once
-    no plan in the batch moves by more than stop_tol."""
+    no plan in the batch moves by more than 1e-13."""
     step = 1.0 / (4.0 * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2) + 1.0) ** 2)
     for _ in range(int(iters)):
         atb = (a @ plans) @ b.T
@@ -522,7 +535,7 @@ def _descend_plans(plans, a, b, mu_row, mu_col, iters, stop_tol=1e-13):
         t = np.where(curv > 1e-18, np.clip(-slope / (2.0 * safe), 0.0, 1.0), 1.0)
         move = t[:, None, None] * delta
         plans = plans + move
-        if float(np.abs(move).max()) <= stop_tol:
+        if float(np.abs(move).max()) <= 1e-13:
             break
     return plans
 
@@ -566,7 +579,8 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     """Entropically regularized optimal transport: exp(-cost/beta) scaled onto the marginals.
 
     Scales until the column residual drops below SCALING_TOL, then rounds
-    the plan exactly feasible; raises NumericError if the scalings diverge.
+    the plan exactly feasible; raises NumericError if cost/beta passes the
+    largest float or the scalings diverge.
     The scaling turns to Newton steps after SINKHORN_WARMUP Sinkhorn
     pairs; a Newton fallback goes on with Sinkhorn, up to 10000 pairs in
     all.
@@ -581,7 +595,7 @@ def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     if not np.all(np.isfinite(cost)):
         raise DomainError("cost must be finite")
     mu_row, mu_col = _marginals(cost.shape, mu_row, mu_col)
-    logk = cost * (-1.0 / beta)
+    logk = _log_kernel(cost.copy(), 1.0 / beta)
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)

@@ -234,6 +234,8 @@ def test_benchmark_uses_alignment_metric_on_hard_families(tmp_path, capsys):
     ["eval", "--estimate", "ignored", "--truth", "xy", "--metric", "gw", "--seed", "-1"],
     ["estimate", "--in", "ignored", "--alpha", "nan", "--out", "ignored"],
     ["estimate", "--in", "ignored", "--beta", "inf", "--out", "ignored"],
+    ["benchmark", "--families", "xy", "--seed", "-1", "--csv", "x.csv"],
+    ["benchmark", "--families", "xy", "--seed", "18446744073709551616", "--csv", "x.csv"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert main(argv) == 2
@@ -302,22 +304,24 @@ _SEEDS = _mostly(st.integers(0, 2 ** 64 - 1),
 _ODD_NUMBERS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324"]),
                          st.floats(-1.0, 1.0).map(repr))
 _COUNTS = _mostly(st.integers(1, 3), st.integers(-2, 0)).map(str)
+_NODES = _mostly(st.sampled_from(["3", "12", "3:12"]), st.sampled_from(["-1", "2", "12:3", "x"]))
+_RESOLUTIONS = _mostly(st.integers(1, 20), st.integers(-2, 0)).map(str)
 
 
 @settings(max_examples=50, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["sample", "estimate", "eval", "cluster"]),
+@given(data=st.data(),
+       command=st.sampled_from(["sample", "estimate", "eval", "cluster", "benchmark"]),
        seed=_SEEDS)
 def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, command, seed):
     """Whatever the seed (negative or past 2**64 included) and the numeric
-    options (nan, inf and negative included), sample, estimate, eval and
-    cluster end in exit status 0, 1 or 2 and never raise. cluster draws
-    cluster counts and limits past the population size of 4 as well."""
+    options (nan, inf and negative included), every command ends in exit
+    status 0, 1 or 2 and never raises. cluster draws cluster counts and
+    limits past the population size of 4 as well; benchmark runs one
+    family with a baseline method on graphs of at most 12 nodes."""
     root, pop, est, mixed = small_inputs
     if command == "sample":
         argv = ["sample", "--graphon", "xy", "--count=" + data.draw(_COUNTS),
-                "--nodes=" + data.draw(_mostly(st.sampled_from(["3", "12", "3:12"]),
-                                               st.sampled_from(["-1", "2", "12:3", "x"]))),
-                "--out", str(root / "sampled")]
+                "--nodes=" + data.draw(_NODES), "--out", str(root / "sampled")]
     elif command == "estimate":
         argv = ["estimate", "--in", pop, "--out", str(root / "fit.txt"),
                 "--method=" + data.draw(st.sampled_from(["gwb", "sgwb", "usvt", "naive"])),
@@ -333,10 +337,16 @@ def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, comman
         limit = data.draw(st.one_of(st.none(), _mostly(st.integers(1, 4), st.integers(-1, 6))))
         if limit is not None:
             argv.append("--limit=%d" % limit)
+    elif command == "benchmark":
+        argv = ["benchmark", "--families", "xy",
+                "--methods=" + data.draw(st.sampled_from(["usvt", "naive"])),
+                "--trials=" + data.draw(_COUNTS), "--count=" + data.draw(_COUNTS),
+                "--nodes=" + data.draw(_NODES), "--resolution=" + data.draw(_RESOLUTIONS),
+                "--csv", str(root / "bench.csv")]
     else:
         argv = ["eval", "--estimate", est, "--truth", "xy",
                 "--metric=" + data.draw(st.sampled_from(["mse", "gw"])),
-                "--resolution=" + data.draw(_mostly(st.integers(1, 20), st.integers(-2, 0)).map(str))]
+                "--resolution=" + data.draw(_RESOLUTIONS)]
     argv.append("--seed=%d" % seed)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

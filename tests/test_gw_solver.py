@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measure, random_space, random_step_function
+from conftest import random_graph, random_measure, random_space, random_step_function
 from gwgraphon.core import (PLAN_MARGINAL_TOL, DomainError, NumericError,
                             ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
@@ -128,7 +128,7 @@ def test_exact_oracle_basics(rng):
     b, mu_b = random_space(rng, 4)
     fwd = gw_distance_exact_small(a, b, mu_a, mu_b)
     rev = gw_distance_exact_small(b, a, mu_b, mu_a)
-    assert fwd == pytest.approx(rev, abs=1e-8)
+    assert fwd == pytest.approx(rev, abs=1e-9)
 
 
 def test_exact_oracle_validation(rng):
@@ -142,8 +142,9 @@ def test_exact_oracle_validation(rng):
         gw_distance_exact_small(np.zeros((2, 2)), np.zeros((2, 2)), [0.5, 0.6], mu2)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+@example(n=4, m=3, seed=269)
 def test_exact_oracle_is_symmetric_and_relabelling_invariant(n, m, seed):
     """The oracle's value does not depend on which space comes first, nor
     on the order of either space's nodes when their measure moves with
@@ -156,6 +157,63 @@ def test_exact_oracle_is_symmetric_and_relabelling_invariant(n, m, seed):
     pa, pb = rng.permutation(n), rng.permutation(m)
     moved = gw_distance_exact_small(a[np.ix_(pa, pa)], b[np.ix_(pb, pb)], mu_a[pa], mu_b[pb])
     assert moved == pytest.approx(base, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4),
+       kind=st.sampled_from(["random", "uniform", "graph"]), seed=st.integers(0, 2 ** 16))
+@example(n=4, m=4, kind="graph", seed=103)
+def test_exact_oracle_is_a_lower_bound(n, m, kind, seed):
+    """The oracle's value is at most the objective of every feasible plan
+    drawn: northwest-corner vertices in random row and column orders,
+    random positive matrices rounded onto the marginals, and the plan of
+    proximal_gw under STRONG. The first space is a random one, the same
+    with uniform measures on both sides, which makes the marginals
+    degenerate, or a 0/1 graph with its degree measure."""
+    rng = np.random.default_rng(seed)
+    if kind == "graph":
+        graph = random_graph(rng, n)
+        a, mu_a = graph.adjacency.toarray(), graph.measure
+    else:
+        a, mu_a = random_space(rng, n)
+    b, mu_b = random_space(rng, m)
+    if kind == "uniform":
+        mu_a, mu_b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    corners = np.zeros((8, n, m))
+    for corner in corners:
+        rows, cols = rng.permutation(n), rng.permutation(m)
+        corner[np.ix_(rows, cols)] = gw._northwest_corner(mu_a[rows], mu_b[cols])
+    rounded = gw._round_feasible(rng.random((8, n, m)) + 1e-3, mu_a[None], mu_b[None])
+    solved = proximal_gw((a, mu_a), (b, mu_b), STRONG).plan.coupling
+    plans = np.concatenate([corners, rounded, solved[None]])
+    values = gw._objective(a, b.T, gw_cost_offset(a, mu_a, b, mu_b), plans)
+    assert gw_distance_exact_small(a, b, mu_a, mu_b) <= float(values.min()) + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), equal=st.booleans())
+def test_exact_oracle_is_the_closed_form_minimum_on_two_by_two(seed, equal):
+    """On 2 x 2 instances the plans are T0 + t·D on a segment of t, with
+    T0 = [[0, p], [q, 1 - p - q]] and D = [[1, -1], [-1, 1]], and the
+    objective is a quadratic in t: its minimum is at an end or at the
+    vertex of the parabola. The oracle equals it from both sides; equal
+    marginals make one end a rank-deficient vertex."""
+    rng = np.random.default_rng(seed)
+    a, mu_a = random_space(rng, 2)
+    b, mu_b = random_space(rng, 2)
+    if equal:
+        mu_b = mu_a.copy()
+    p, q = mu_a[0], mu_b[0]
+    offset = gw_cost_offset(a, mu_a, b, mu_b)
+    base = np.array([[0.0, p], [q, 1.0 - p - q]])
+    step = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    slope = float(((offset - 4.0 * (a @ base @ b)) * step).sum())
+    curvature = float(-2.0 * ((a @ step @ b) * step).sum())
+    ends = [max(0.0, p + q - 1.0), min(p, q)]
+    ts = ends + [t for t in [-slope / (2.0 * curvature)] if curvature > 0 and ends[0] < t < ends[1]]
+    values = gw._objective(a, b.T, offset, np.stack([base + t * step for t in ts]))
+    expected = max(float(values.min()), 0.0)
+    assert gw_distance_exact_small(a, b, mu_a, mu_b) == pytest.approx(expected, abs=1e-12)
 
 
 def _feasible_plans(rng, mu_row, mu_col, count):
@@ -333,6 +391,20 @@ def test_overflowing_offset_is_a_numeric_error(sparse, value):
     results = [proximal_gw(large, good), proximal_gw(good, large)]
     results += proximal_gw_batch([good, large], [large, good])
     assert all(np.isfinite(res.distance_sq) for res in results)
+
+
+def test_overflowing_log_kernel_is_a_numeric_error():
+    """A cost/beta past the largest float, where the cost offset is still
+    finite, raises NumericError from proximal_gw and entropic_ot, not a
+    numpy warning or a nan plan."""
+    good = _space_with(0.5, False)
+    with pytest.raises(NumericError):
+        proximal_gw(_space_with(1e154, False), good)
+    with pytest.raises(NumericError):
+        proximal_gw(_space_with(1e10, False), good, SolverConfig(beta=1e-300))
+    mu = np.full(3, 1.0 / 3)
+    with pytest.raises(NumericError):
+        entropic_ot(np.full((3, 3), 1e10), mu, mu, beta=1e-300)
 
 
 def test_sinkhorn_projection_hits_marginals(rng):
