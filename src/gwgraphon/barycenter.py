@@ -6,7 +6,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import MIN_NODES, DomainError, ObservedGraph, SolverConfig, StepFunction
+from .core import MIN_NODES, DomainError, ObservedGraph, SolverConfig, StepFunction, _dense
 from .gw import proximal_gw_batch
 
 
@@ -74,10 +74,6 @@ def _coupling(plan):
     return np.asarray(getattr(plan, "coupling", plan), dtype=float)
 
 
-def _adjacency(graph):
-    return graph.adjacency if isinstance(graph, ObservedGraph) else graph
-
-
 def _average_pushforward(graphs, plans, weights=None):
     """Weighted average Σ w·Tᵀ·A·T / Σ w over the population (w = 1 when
     weights is None)."""
@@ -91,7 +87,7 @@ def _average_pushforward(graphs, plans, weights=None):
     total = None
     for g, p, weight in zip(graphs, plans, weights):
         t = _coupling(p)
-        piece = weight * (t.T @ (_adjacency(g) @ t))
+        piece = weight * (t.T @ (_dense(g) @ t))
         total = piece if total is None else total + piece
     return total / weights.sum()
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 SYMMETRY_TOL = 1e-12
 MEASURE_SUM_TOL = 1e-12
@@ -71,13 +70,28 @@ def _check_measure(measure, name="measure", tol=MEASURE_SUM_TOL):
 
 
 def _degree_measure(adjacency):
-    """Degree-proportional measure with a 1e-8 floor so entries stay positive."""
-    if sp.issparse(adjacency):
-        degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    else:
-        degrees = np.asarray(adjacency, dtype=float).sum(axis=1)
-    degrees = np.maximum(degrees, DEGREE_FLOOR)
+    """Degree-proportional measure of a dense adjacency, with a 1e-8 floor
+    so entries stay positive."""
+    degrees = np.maximum(np.asarray(adjacency, dtype=float).sum(axis=1), DEGREE_FLOOR)
     return degrees / degrees.sum()
+
+
+def _dense(matrix):
+    """A dense float N x N array of a graph's adjacency, of a matrix with a
+    toarray() method, such as any scipy sparse matrix, or of an array-like.
+
+    The one place outside ObservedGraph that reads a graph's edge storage:
+    every other module takes its adjacency through here. A graph's array
+    is new on every call and costs 8·N² bytes.
+    """
+    if isinstance(matrix, ObservedGraph):
+        n = matrix.node_count
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(matrix._indptr)), matrix._indices] = 1.0
+        return dense
+    if hasattr(matrix, "toarray"):
+        matrix = matrix.toarray()
+    return np.asarray(matrix, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,55 +134,74 @@ class StepFunction:
 class ObservedGraph:
     """An undirected simple graph together with a node probability measure.
 
-    :param adjacency: symmetric binary matrix with zero diagonal; dense input
-        is converted to CSR.
+    The edges are held in plain numpy as the index arrays of the canonical
+    CSR form, both orientations of each edge with the columns of a row
+    sorted, in O(E) memory. `adjacency` is a scipy.sparse.csr_array view
+    of them, built on first access and kept; it is the only place a graph
+    imports scipy.
+
+    :param adjacency: symmetric binary matrix with zero diagonal, a dense
+        array or a matrix with a toarray() method such as any scipy sparse
+        matrix (duplicate entries of a sparse matrix add up).
     :param measure: length-N strictly positive vector summing to 1
         (conventionally the floored normalized degrees).
     """
 
-    adjacency: sp.csr_array
+    adjacency: InitVar[object]
     measure: np.ndarray
 
-    def __post_init__(self):
-        adj = self.adjacency
-        if sp.issparse(adj):
-            adj = sp.csr_array(adj).astype(float)
-        else:
-            dense = np.asarray(adj, dtype=float)
-            if dense.ndim != 2:
-                raise ValidationError("adjacency must be 2-dimensional")
-            adj = sp.csr_array(dense)
-        if adj.shape[0] != adj.shape[1]:
-            raise ValidationError("adjacency must be square, got shape %s" % (adj.shape,))
-        if adj.shape[0] == 0:
+    def __post_init__(self, adjacency):
+        dense = _dense(adjacency)
+        if dense.ndim != 2:
+            raise ValidationError("adjacency must be 2-dimensional")
+        if dense.shape[0] != dense.shape[1]:
+            raise ValidationError("adjacency must be square, got shape %s" % (dense.shape,))
+        if dense.shape[0] == 0:
             raise ValidationError("adjacency must be nonempty")
-        adj.sum_duplicates()
-        adj.eliminate_zeros()
-        if adj.nnz:
-            if not np.all(np.isfinite(adj.data)):
-                raise ValidationError("adjacency contains non-finite entries")
-            if np.any(adj.data != 1.0):
-                raise ValidationError("adjacency entries must be 0 or 1")
-        if np.any(adj.diagonal() != 0.0):
+        if not np.all(np.isfinite(dense)):
+            raise ValidationError("adjacency contains non-finite entries")
+        if np.any((dense != 0.0) & (dense != 1.0)):
+            raise ValidationError("adjacency entries must be 0 or 1")
+        if np.any(dense.diagonal() != 0.0):
             raise ValidationError("adjacency diagonal must be zero")
-        diff = (adj - adj.T).tocoo()
-        if diff.nnz and float(np.abs(diff.data).max()) > 0.0:
+        if np.any(dense != dense.T):
             raise ValidationError("adjacency must be symmetric")
         measure = _as_float_array(self.measure, "measure", 1)
-        if measure.size != adj.shape[0]:
+        if measure.size != dense.shape[0]:
             raise ValidationError(
-                "measure length %d does not match node count %d" % (measure.size, adj.shape[0]))
+                "measure length %d does not match node count %d" % (measure.size, dense.shape[0]))
         _check_measure(measure)
-        object.__setattr__(self, "adjacency", adj)
+        # np.nonzero lists the cells row by row, each row's columns ascending:
+        # the canonical CSR order. The index type is scipy's own choice, 32
+        # bits while the counts fit.
+        _, indices = np.nonzero(dense)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(dense, axis=1))])
+        index_type = np.int32 if max(indices.size, dense.shape[0]) < 2 ** 31 else np.int64
+        for name, arr in (("_indices", indices), ("_indptr", indptr)):
+            arr = arr.astype(index_type)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "measure", _frozen(measure))
+
+    def __getattr__(self, name):
+        # only reached for attributes the instance lacks: `adjacency` is the
+        # constructor's argument, not stored, so its view is made here once
+        if name != "adjacency":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        import scipy.sparse as sp
+        n = self.node_count
+        view = sp.csr_array((np.ones(self._indices.size), self._indices, self._indptr),
+                            shape=(n, n))
+        object.__setattr__(self, "adjacency", view)
+        return view
 
     @property
     def node_count(self):
-        return int(self.adjacency.shape[0])
+        return int(self._indptr.size - 1)
 
     @property
     def edge_count(self):
-        return int(self.adjacency.nnz) // 2
+        return int(self._indices.size) // 2
 
     @classmethod
     def from_dense(cls, dense, measure=None):
@@ -182,22 +215,23 @@ class ObservedGraph:
     def from_edges(cls, node_count, edges, measure=None):
         """Build from an (E, 2) integer array or an iterable of (u, v)
         pairs; both orientations and duplicates collapse to single
-        undirected edges."""
+        undirected edges.
+
+        :raises ValidationError: an endpoint outside [0, node_count), or
+            what the constructor rejects, such as a self-loop.
+        """
         n = int(node_count)
         if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
             edges = [(int(u), int(v)) for u, v in edges]
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            rows = np.concatenate([edges[:, 0], edges[:, 1]])
-            cols = np.concatenate([edges[:, 1], edges[:, 0]])
-            adj = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-            adj.sum_duplicates()
-            adj.data[:] = 1.0
-        else:
-            adj = sp.csr_array((n, n), dtype=float)
+        if edges.size and not (edges.min() >= 0 and edges.max() < n):
+            raise ValidationError("edge endpoint outside [0, %d)" % n)
+        dense = np.zeros((max(n, 0), max(n, 0)))
+        dense[edges[:, 0], edges[:, 1]] = 1.0
+        dense[edges[:, 1], edges[:, 0]] = 1.0
         if measure is None:
-            measure = _degree_measure(adj)
-        return cls(adj, measure)
+            measure = _degree_measure(dense)
+        return cls(dense, measure)
 
 
 @dataclass(frozen=True, eq=False)

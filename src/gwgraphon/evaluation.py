@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, ObservedGraph, SolverConfig, StepFunction
+from .core import DomainError, ObservedGraph, SolverConfig, StepFunction, _dense
 from .graphons import GraphonSpec, discretize_graphon
 from .gw import proximal_gw
 
@@ -74,7 +74,7 @@ def _padded_average(graphs):
     acc = np.zeros((n_max, n_max))
     for g in graphs:
         n = g.node_count
-        acc[:n, :n] += g.adjacency.toarray()
+        acc[:n, :n] += _dense(g)
     return acc / len(graphs)
 
 

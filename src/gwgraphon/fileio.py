@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (DomainError, ObservedGraph, ParseError, RangeError,
-                   StepFunction, ValidationError)
+                   StepFunction, ValidationError, _dense)
 
 
 def _read_text(path):
@@ -107,8 +106,9 @@ def read_edge_list(path) -> ObservedGraph:
 def write_edge_list(graph: ObservedGraph, path):
     """Write the edge-list text format: "N <count>" then each edge once as
     "u v" with u < v, sorted."""
-    coo = sp.triu(graph.adjacency, k=1).tocoo()
-    pairs = sorted(zip(coo.row.tolist(), coo.col.tolist()))
+    # np.nonzero lists the upper triangle's cells in row-major order
+    us, vs = np.nonzero(np.triu(_dense(graph), k=1))
+    pairs = zip(us.tolist(), vs.tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("N %d\n" % graph.node_count)
         for u, v in pairs:

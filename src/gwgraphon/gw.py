@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
-                   StepFunction, TransportPlan, ValidationError)
+                   StepFunction, TransportPlan, ValidationError, _dense)
 
 KERNEL_FLOOR = 1e-300
 # column-marginal residual at which the proximal steps and entropic_ot stop scaling
@@ -46,22 +45,23 @@ class GwResult:
 
 
 def _as_space(obj):
-    """Matrix-plus-measure view of a graph, step function, or checked (matrix, measure) pair."""
+    """Dense matrix-plus-measure view of a graph, step function, or checked
+    (matrix, measure) pair; a matrix with a toarray() method, such as a
+    scipy sparse matrix, is read through it."""
     if isinstance(obj, ObservedGraph):
-        return obj.adjacency, obj.measure
+        return _dense(obj), obj.measure
     if isinstance(obj, StepFunction):
         return obj.values, obj.measure
     try:
         matrix, measure = obj
     except Exception as exc:
         raise DomainError("expected ObservedGraph, StepFunction, or (matrix, measure) pair") from exc
-    if not sp.issparse(matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise DomainError("matrix must be 2-dimensional")
+    matrix = _dense(matrix)
+    if matrix.ndim != 2:
+        raise DomainError("matrix must be 2-dimensional")
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square, got shape %s" % (matrix.shape,))
-    if not np.all(np.isfinite(matrix.data if sp.issparse(matrix) else matrix)):
+    if not np.all(np.isfinite(matrix)):
         raise DomainError("matrix entries must be finite")
     measure = np.asarray(measure, dtype=float).ravel()
     if measure.size != matrix.shape[0]:
@@ -81,8 +81,7 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     """
     (a, mu_a), (w, mu_w) = _as_space((a, mu_a)), _as_space((w, mu_w))
     with np.errstate(over="ignore"):
-        sq_a, sq_w = (m.multiply(m) if sp.issparse(m) else m * m for m in (a, w))
-        offset = (sq_a @ mu_a)[:, None] + (sq_w.T @ mu_w)[None, :]
+        offset = ((a * a) @ mu_a)[:, None] + ((w * w).T @ mu_w)[None, :]
     if not np.all(np.isfinite(offset)):
         raise NumericError("cost offset overflows: matrix entries too large")
     return offset
@@ -412,19 +411,23 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     anchors of cfg.restarts >= 4). Each distinct start is solved once, so a
     space against a target with equal block masses has one start fewer than
     cfg.restarts >= 3 asks for. Spaces that share their start count, node
-    count and target size share one stack of (space, restart) kernels in
-    each proximal step, whichever targets they have. Nothing is padded:
-    the scaling costs what the solves need, and each space's restarts leave
-    the stack at the check where they would stop scaling alone. Every
-    result is therefore bit-identical to proximal_gw of that space and
-    target alone, whatever else is in the batch. Each proximal step builds
-    the costs of all a space's starts in one product (_costs), and the
-    kernels and their rounding in one pass over each stack. Polishing and
-    the choice of the best candidate run per space.
+    count and target size form a size class, whichever targets they have:
+    its dense adjacencies, targets and cost offsets are stacked once per
+    call, and its (space, restart) kernels share one stack in each
+    proximal step. Nothing is padded: the scaling costs what the solves
+    need, and each space's restarts leave the stack at the check where
+    they would stop scaling alone. Every result is therefore bit-identical
+    to proximal_gw of that space and target alone, whatever else is in the
+    batch. Each proximal step builds the costs of a whole class in two
+    batched products (_costs), and the kernels and their rounding in one
+    pass over its stack. Polishing and the choice of the best candidate run
+    per space.
     """
     if cfg is None:
         cfg = SolverConfig()
-    sides = [_as_space(space) for space in spaces]
+    # a graph's dense adjacency is made only when its size class is stacked
+    sides = [(space, space.measure) if isinstance(space, ObservedGraph) else _as_space(space)
+             for space in spaces]
     if not sides:
         raise DomainError("need at least one space to solve")
     targets = list(targets)
@@ -432,30 +435,31 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     if len(targets) != len(sides) or len(seeds) != len(sides):
         raise DomainError("got %d spaces, %d targets and %d seeds"
                           % (len(sides), len(targets), len(seeds)))
-    cols = [(w.toarray() if sp.issparse(w) else w, mu) for w, mu in map(_as_space, targets)]
-    cols = [(w, mu, np.ascontiguousarray(w.T)) for w, mu in cols]
+    cols = [_as_space(target) for target in targets]
     inv_beta = 1.0 / cfg.beta
-    offsets = [gw_cost_offset(mat_a, mu_a, mat_w, mu_w)
-               for (mat_a, mu_a), (mat_w, mu_w, _) in zip(sides, cols)]
     starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, seed)
-              for (_, mu_a), (_, mu_w, _), seed in zip(sides, cols, seeds)]
+              for (_, mu_a), (_, mu_w), seed in zip(sides, cols, seeds)]
     by_shape = {}
     for g, (anchors, _) in enumerate(starts):
         by_shape.setdefault((len(anchors),) + anchors[0].shape, []).append(g)
-    plans = {}
+    results = [None] * len(sides)
     for (count, n, k), members in by_shape.items():
-        # one (members, S, N, K) stack per size class; each kernel carries its
-        # log column potentials from one proximal step to the next, starting
-        # at 0, so the first step is cold
+        # a class of one views its matrix, so a dense reference is not copied
+        if len(members) == 1:
+            adj = _dense(sides[members[0]][0])[None]
+        else:
+            adj = np.stack([_dense(sides[g][0]) for g in members])
+        w_t = np.ascontiguousarray(np.stack([cols[g][0] for g in members]).transpose(0, 2, 1))
+        offset = np.stack([gw_cost_offset(a, sides[g][1], *cols[g]) for a, g in zip(adj, members)])
+        # one (members, S, N, K) stack of plans; each kernel carries its log
+        # column potentials from one proximal step to the next, starting at
+        # 0, so the first step is cold
         stack = np.stack([starts[g][0] for g in members])
         mu_rows = np.repeat(np.stack([sides[g][1] for g in members]), count, axis=0)
         mu_cols = np.repeat(np.stack([cols[g][1] for g in members]), count, axis=0)
         pots = np.zeros((len(members), count, k))
         for _ in range(cfg.sinkhorn_iters):
-            kernels = np.empty(stack.shape)
-            for g, out, plan in zip(members, kernels, stack):
-                out[...] = _costs(sides[g][0], cols[g][2], offsets[g], plan)
-            _log_kernel(kernels, inv_beta)
+            kernels = _log_kernel(_costs(adj, w_t, offset, stack), inv_beta)
             kernels += pots[:, :, None, :]
             kernels -= kernels.max(axis=3, keepdims=True)
             np.exp(kernels, out=kernels)
@@ -465,10 +469,10 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
                                   500, SCALING_TOL, groups=len(members))
             pots += steps.reshape(pots.shape)
             stack = _round_feasible(batch, mu_rows, mu_cols).reshape(stack.shape)
-        plans.update(zip(members, stack))
-    return [_best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans[g], raw, cfg.polish_iters)
-            for g, ((mat_a, mu_a), (mat_w, mu_w, w_t), offset, (_, raw))
-            in enumerate(zip(sides, cols, offsets, starts))]
+        for i, g in enumerate(members):
+            results[g] = _best_candidate(adj[i], sides[g][1], cols[g][0], cols[g][1], w_t[i],
+                                         offset[i], stack[i], starts[g][1], cfg.polish_iters)
+    return results
 
 
 def _log_kernel(costs, inv_beta):
@@ -486,8 +490,7 @@ def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_it
     """The lowest-objective plan among the proximal candidates, their
     polished forms and the raw anchors, as a GwResult."""
     if polish_iters > 0:
-        dense_a = mat_a.toarray() if sp.issparse(mat_a) else mat_a
-        batch = _descend_plans(plans, dense_a, mat_w, mu_a, mu_w, polish_iters)
+        batch = _descend_plans(plans, mat_a, mat_w, mu_a, mu_w, polish_iters)
         batch = np.maximum(batch, 0.0)
         polished = _round_feasible(batch, mu_a[None], mu_w[None])
         # rounding back onto the polytope can cost more than the descent
@@ -499,24 +502,30 @@ def _best_candidate(mat_a, mu_a, mat_w, mu_w, w_t, offset, plans, raw, polish_it
     if not np.all(np.isfinite(vals)):
         raise NumericError("objective evaluated to a non-finite value")
     pick = int(np.argmin(vals))
-    return GwResult(TransportPlan(plans[pick], mu_a, mu_w), max(float(vals[pick]), 0.0))
+    # the reported value is the chosen plan's objective alone: the BLAS can
+    # sum a product with all the candidates side by side in another order
+    value = float(_objective(mat_a, w_t, offset, plans[pick][None])[0])
+    return GwResult(TransportPlan(plans[pick], mu_a, mu_w), max(value, 0.0))
 
 
-def _costs(mat_a, w_t, offset, plans):
-    """The cost matrix offset - 2·A·T·Wᵀ at each plan T of a stack (S, N, K),
-    with w_t = Wᵀ and offset from gw_cost_offset; mat_a may be sparse. A
-    multiplies all S plans at once, laid side by side as N x S·K."""
-    count, n, k = plans.shape
-    side = mat_a @ plans.transpose(1, 0, 2).reshape(n, count * k)
-    costs = side.reshape(n, count, k).transpose(1, 0, 2) @ w_t
+def _costs(adj, w_t, offset, plans):
+    """The cost matrices offset - 2·A·T·Wᵀ of a size class at each plan T of
+    a stack (m, S, N, K): adj (m, N, N) holds the dense A, w_t (m, K, K) the
+    Wᵀ and offset (m, N, K) the gw_cost_offset of each member. One batched
+    product multiplies each A by its S plans laid side by side as N x S·K,
+    a second applies each Wᵀ to the (S, N, K) result."""
+    m, count, n, k = plans.shape
+    side = adj @ plans.transpose(0, 2, 1, 3).reshape(m, n, count * k)
+    costs = side.reshape(m, n, count, k).transpose(0, 2, 1, 3) @ w_t[:, None]
     costs *= -2.0
-    costs += offset
+    costs += offset[:, None]
     return costs
 
 
 def _objective(mat_a, w_t, offset, plans):
-    """The quadratic objective <cost at T, T> of each plan T in a stack."""
-    return (_costs(mat_a, w_t, offset, plans) * plans).sum(axis=(1, 2))
+    """The quadratic objective <cost at T, T> of each plan T in a stack
+    (S, N, K), for one dense space."""
+    return (_costs(mat_a[None], w_t[None], offset[None], plans[None])[0] * plans).sum(axis=(1, 2))
 
 
 def _descend_plans(plans, a, b, mu_row, mu_col, iters):

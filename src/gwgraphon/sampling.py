@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import MIN_NODES, DomainError, ObservedGraph, _degree_measure
+from .core import MIN_NODES, DomainError, ObservedGraph, _degree_measure, _dense
 from .graphons import GraphonSpec, _evaluate_array
 
 
@@ -17,23 +16,13 @@ def estimate_node_measure(adjacency):
     Degrees are floored at 1e-8 before normalization, so isolated nodes keep
     a tiny positive mass and an edgeless graph gets the uniform measure.
     """
-    if sp.issparse(adjacency):
-        adj = sp.csr_array(adjacency)
-        if adj.shape[0] != adj.shape[1]:
-            raise DomainError("adjacency must be square")
-        if adj.nnz and np.any((adj.data != 0.0) & (adj.data != 1.0)):
-            raise DomainError("adjacency entries must be 0 or 1")
-        diff = (adj - adj.T).tocoo()
-        if diff.nnz and float(np.abs(diff.data).max()) > 0.0:
-            raise DomainError("adjacency must be symmetric")
-    else:
-        adj = np.asarray(adjacency, dtype=float)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise DomainError("adjacency must be square")
-        if np.any((adj != 0.0) & (adj != 1.0)):
-            raise DomainError("adjacency entries must be 0 or 1")
-        if np.any(adj != adj.T):
-            raise DomainError("adjacency must be symmetric")
+    adj = _dense(adjacency)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise DomainError("adjacency must be square")
+    if np.any((adj != 0.0) & (adj != 1.0)):
+        raise DomainError("adjacency entries must be 0 or 1")
+    if np.any(adj != adj.T):
+        raise DomainError("adjacency must be symmetric")
     return _degree_measure(adj)
 
 
@@ -66,11 +55,10 @@ def sample_graph(spec: GraphonSpec, n, seed) -> ObservedGraph:
     iu, ju = np.triu_indices(n, k=1)
     probs = _evaluate_array(spec, positions[iu], positions[ju])
     hits = rng.random(iu.size) < probs
-    us, vs = iu[hits], ju[hits]
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    adj = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    return ObservedGraph(adj, _degree_measure(adj))
+    adj = np.zeros((n, n))
+    adj[iu[hits], ju[hits]] = 1.0
+    adj += adj.T
+    return ObservedGraph.from_dense(adj)
 
 
 def sample_population(spec: GraphonSpec, count, size_range: Sequence[int], seed) -> List[ObservedGraph]:

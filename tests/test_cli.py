@@ -1,6 +1,9 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwgraphon
 from gwgraphon.cli import main
 from gwgraphon.core import StepFunction
 from gwgraphon.fileio import (read_step_function, write_edge_list,
@@ -351,3 +355,41 @@ def test_cli_exits_with_a_status_on_generated_options(small_inputs, data, comman
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+_NO_SCIPY = textwrap.dedent("""
+    import os
+    import sys
+
+    import gwgraphon
+    from gwgraphon import cli
+
+    work = sys.argv[1]
+    pop, est = os.path.join(work, "pop"), os.path.join(work, "w.txt")
+    codes = [cli.main(argv) for argv in (
+        ["sample", "--graphon", "xy", "--count", "3", "--nodes", "10:20",
+         "--seed", "4", "--out", pop],
+        ["estimate", "--in", pop, "--method", "sgwb", "--out", est,
+         "--heatmap", os.path.join(work, "w.pgm")],
+        ["eval", "--estimate", est, "--truth", "xy", "--metric", "gw", "--resolution", "40"],
+        ["eval", "--estimate", est, "--truth", "xy", "--metric", "mse", "--resolution", "40"])]
+    assert codes == [0, 0, 0, 0], codes
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    assert not loaded, loaded
+    graph = gwgraphon.read_edge_list(os.path.join(pop, "graph_000.txt"))
+    assert graph.adjacency.nnz == 2 * graph.edge_count > 0
+    assert gwgraphon.clustering_accuracy([0, 1, 1], [1, 0, 0]) == 1.0
+""")
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Importing the package and running sample, estimate (sgwb, with a
+    heatmap) and eval (gw and mse) on 3 graphs of 10-20 nodes loads no
+    scipy module, in a fresh process. A graph's scipy CSR view and
+    clustering_accuracy still work afterwards; each imports what it needs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwgraphon.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

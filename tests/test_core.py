@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gwgraphon.core import (ObservedGraph, SolverConfig, StepFunction,
                             TransportPlan, ValidationError)
+from gwgraphon.gw import proximal_gw
+from gwgraphon.sampling import estimate_node_measure
 from gwgraphon.graphons import (FAMILY_NAMES, GraphonSpec, discretize_graphon,
                                 evaluate_graphon)
 from gwgraphon.core import DomainError
@@ -98,6 +103,68 @@ def test_observed_graph_from_edges_takes_an_integer_array(rng, dtype):
         np.testing.assert_array_equal(x, y)
     empty = ObservedGraph.from_edges(4, np.empty((0, 2), dtype=dtype))
     assert empty.edge_count == 0
+
+
+_GRAPH_FAULTS = (None, "asymmetric", "weighted", "self_loop", "nan", "inf", "non_square", "one_dim")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                           max_size=40),
+       coo=st.booleans(), fault=st.sampled_from(_GRAPH_FAULTS), seed=st.integers(0, 2 ** 16))
+def test_graph_is_the_same_from_dense_sparse_and_edges(n, pairs, coo, fault, seed):
+    """One graph built from a dense 0/1 array, a scipy CSR or COO matrix
+    (its entries in a shuffled order) and from_edges (the drawn pairs, with
+    their duplicates and both orientations) is the same graph: equal CSR
+    view arrays, measure, node and edge counts, and proximal_gw result.
+    Isolated nodes and edgeless graphs are drawn. An asymmetric,
+    non-binary, self-looped or non-finite matrix, dense or sparse, a
+    non-square one and a 1-D array raise ValidationError, and so does a
+    self-loop among the edges."""
+    edges = [(u % n, v % n) for u, v in pairs if u % n != v % n]
+    dense = np.zeros((n, n))
+    for u, v in edges:
+        dense[u, v] = dense[v, u] = 1.0
+    rows, cols = np.nonzero(dense)
+    order = np.random.default_rng(seed).permutation(rows.size)
+    to_sparse = sp.coo_matrix if coo else sp.csr_matrix
+    if fault is None:
+        sparse = to_sparse((np.ones(rows.size), (rows[order], cols[order])), shape=(n, n))
+        graphs = [ObservedGraph.from_dense(dense),
+                  ObservedGraph(sparse, estimate_node_measure(sparse)),
+                  ObservedGraph.from_edges(n, edges)]
+        target = StepFunction(np.array([[0.7, 0.2], [0.2, 0.5]]), np.array([0.6, 0.4]))
+        first = graphs[0]
+        solved = proximal_gw(first, target)
+        for g in graphs[1:]:
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(first.adjacency, name), getattr(g.adjacency, name)
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(g.measure, first.measure)
+            assert (g.node_count, g.edge_count) == (n, len(set(map(frozenset, edges))))
+            res = proximal_gw(g, target)
+            assert res.distance_sq == solved.distance_sq
+            np.testing.assert_array_equal(res.plan.coupling, solved.plan.coupling)
+        return
+    if fault in ("non_square", "one_dim"):
+        bad = np.zeros((n, n + 1)) if fault == "non_square" else np.zeros(n)
+        forms = [bad] + ([to_sparse(bad)] if bad.ndim == 2 else [])
+    else:
+        assume(n >= 2 or fault != "asymmetric")
+        bad = dense.copy()
+        i, j = (0, n - 1) if fault in ("asymmetric", "weighted") else (n - 1, n - 1)
+        bad[i, j] = {"asymmetric": 1.0 - bad[i, j], "weighted": 2.0, "self_loop": 1.0,
+                     "nan": np.nan, "inf": np.inf}[fault]
+        if fault == "weighted":
+            bad[j, i] = 2.0
+        forms = [bad, to_sparse(bad)]
+    for form in forms:
+        with pytest.raises(ValidationError):
+            ObservedGraph(form, np.full(n, 1.0 / n))
+    if fault == "self_loop":
+        with pytest.raises(ValidationError):
+            ObservedGraph.from_edges(n, edges + [(n - 1, n - 1)])
 
 
 def test_observed_graph_measure_length_check():
