@@ -17,8 +17,7 @@ from .fileio import (RESULT_COLUMNS, ResultRow, append_result_row,
 from .graphons import (EASY_FAMILIES, FAMILY_NAMES, GRID_FAMILY,
                        HARD_FAMILIES, GraphonSpec, discretize_graphon,
                        evaluate_graphon)
-from .gw import (GwResult, entropic_ot, gw_cost_offset, proximal_gw,
-                 sinkhorn_projection)
+from .gw import GwResult, entropic_ot, gw_cost_offset, proximal_gw
 from .mixture import MixtureModel, assign_clusters, estimate_mixture
 from .oracle import gw_distance_exact_small
 from .sampling import (derive_graph_seed, estimate_node_measure, sample_graph,
@@ -76,7 +75,6 @@ __all__ = [
     "sample_population",
     "scoring_config",
     "select_partition_count",
-    "sinkhorn_projection",
     "smoothed_barycenter_update",
     "upsample_step_function",
     "usvt_estimate",

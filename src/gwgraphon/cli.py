@@ -180,14 +180,14 @@ def _cmd_cluster(args) -> int:
         truth_labels = [label for _, label in pairs]
     else:
         graphs = _read_population(args.in_path)
+    if args.labels is not None:
+        truth_labels = _read_int_lines(args.labels, "label")
     if args.limit is not None:
         if args.limit < 1:
             raise UsageError("--limit must be at least 1")
         graphs = graphs[: args.limit]
         if truth_labels is not None:
             truth_labels = truth_labels[: args.limit]
-    if args.labels is not None:
-        truth_labels = _read_int_lines(args.labels, "label")
     if args.clusters < 1:
         raise UsageError("--clusters must be at least 1")
     if args.clusters > len(graphs):
@@ -374,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--labels", default=None, help="truth labels, one per line")
-    p.add_argument("--limit", type=int, default=None, help="use only the first L graphs")
+    p.add_argument("--limit", type=int, default=None,
+                   help="use only the first L graphs and their labels")
     p.set_defaults(handler=_cmd_cluster)
 
     p = sub.add_parser("eval", help="score an estimate against a ground truth")

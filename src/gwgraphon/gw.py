@@ -87,54 +87,48 @@ def gw_cost_offset(a, mu_a, w, mu_w):
     return offset
 
 
-def _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+def _scale(kernels, mu_rows, mu_cols, max_iters, tol):
     """Scale a batch of positive kernels onto their marginals.
 
     kernels has shape (S, N, K), mu_rows (S, N) and mu_cols (S, K): each
-    kernel has its own row and column marginal. The stack is split into
-    `groups` equal runs of consecutive kernels, and a group stops as soon
-    as all its column residuals are within tol, so every group gets the
-    plans and potentials it would get alone, bit for bit. Row sums are
-    exact to float precision. A single kernel is passed as kernel[None]
-    with its marginals as mu[None], and its plan read back as plans[0].
+    kernel has its own row and column marginal, and each stops as soon as
+    its own column residual is within tol, so every kernel of any stack
+    gets the plan and potentials it gets scaled alone, bit for bit. Row
+    sums are exact to float precision. A single kernel is passed as
+    kernel[None] with its marginals as mu[None], and its plan read back as
+    plans[0].
 
-    With more than SINKHORN_WARMUP pairs allowed, the stack runs
-    SINKHORN_WARMUP Sinkhorn pairs (_sinkhorn) and then semi-dual Newton
-    steps (_newton) on the groups still above tol. A group that Newton
-    gives up on, at the latest after NEWTON_ITERS steps, goes on with
-    Sinkhorn from its current plan for the rest of the max_iters pairs.
-    With at most SINKHORN_WARMUP pairs allowed it runs Sinkhorn alone.
+    The stack runs SINKHORN_WARMUP Sinkhorn pairs (_sinkhorn) and then
+    semi-dual Newton steps (_newton) on the kernels still above tol. A
+    kernel that Newton gives up on, at the latest after NEWTON_ITERS steps,
+    goes on with Sinkhorn from its current plan; max_iters caps the pairs
+    of the warm-up and that fallback together.
 
     Returns the plans and, shape (S, K), the log column potentials v of
     each kernel: every plan is diag(r)·kernel·diag(exp(v)) for some row
     scaling r. The proximal steps add v to the next step's log kernel, so
     the next scaling starts where this one ended.
     """
-    max_iters = max(int(max_iters), 1)
-    if max_iters <= SINKHORN_WARMUP:
-        return _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups)
-    plans, pots = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol, groups)
+    plans, pots = _sinkhorn(kernels, mu_rows, mu_cols, SINKHORN_WARMUP, tol)
     mu_rows = np.asarray(mu_rows, dtype=float)
     mu_cols = np.asarray(mu_cols, dtype=float)
-    size = kernels.shape[0] // groups
-    res = np.abs(plans.sum(axis=1) - mu_cols).reshape(groups, -1).max(axis=1)
-    todo = np.repeat(res > tol, size)
+    todo = np.abs(plans.sum(axis=1) - mu_cols).max(axis=1) > tol
     if not todo.any():
         return plans, pots
     mu_rows, mu_cols = mu_rows[todo], mu_cols[todo]
-    tail, steps, failed = _newton(plans[todo], mu_rows, mu_cols, tol, size)
+    tail, steps, failed = _newton(plans[todo], mu_rows, mu_cols, tol)
     if failed.any():
         # go on from the current plan: kernel P/mu with row scaling mu is P
         restart = np.maximum(tail[failed] / mu_rows[failed][:, :, None], KERNEL_FLOOR)
         tail[failed], more = _sinkhorn(restart, mu_rows[failed], mu_cols[failed],
-                                       max_iters - SINKHORN_WARMUP, tol, int(failed.sum()) // size)
+                                       max_iters - SINKHORN_WARMUP, tol)
         steps[failed] += more
     plans[todo] = tail
     pots[todo] += steps
     return plans, pots
 
 
-def _newton(plans, mu_rows, mu_cols, tol, size):
+def _newton(plans, mu_rows, mu_cols, tol):
     """Damped Newton on the column log-potentials of the entropic semi-dual.
 
     plans (S, N, K) have rows on mu_rows; each step takes a direction d of
@@ -149,18 +143,16 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
 
     A kernel whose column residual is within tol is stored and leaves the
     stack at that step, so no further Hessian is built or solved for it,
-    and it gets the plan it gets alone. Consecutive runs of `size` kernels
-    still form a group for the fallback: a group with a kernel whose
-    direction is non-finite or no ascent, or whose line search fails, or
-    with a kernel still above tol after NEWTON_ITERS steps, is stored as
-    it stands and flagged, together with its kernels stored before. Any
-    floating-point fault raises NumericError. Returns the plans, the sum
-    of the steps t·d of each kernel (its log column potentials relative to
-    the input plans) and the per-kernel flags.
+    and it gets the plan it gets alone. A kernel whose direction is
+    non-finite or no ascent, or whose line search fails, or that is still
+    above tol after NEWTON_ITERS steps, is stored as it stands and flagged.
+    Any floating-point fault raises NumericError. Returns the plans, the
+    sum of the steps t·d of each kernel (its log column potentials
+    relative to the input plans) and the per-kernel flags.
     """
     out = np.empty_like(plans)
     pots = np.empty(mu_cols.shape)
-    failed = np.zeros(plans.shape[0] // size, dtype=bool)
+    failed = np.zeros(plans.shape[0], dtype=bool)
     live = np.arange(plans.shape[0])
     diag = np.arange(plans.shape[2])
     stuck = np.zeros(plans.shape[0], dtype=bool)
@@ -173,8 +165,8 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
                 done = np.abs(grad).max(axis=1) <= tol
                 if step == NEWTON_ITERS:
                     stuck = stuck | ~done
-                failed[live[stuck] // size] = True
-                stop = done | failed[live // size]
+                failed[live[stuck]] = True
+                stop = done | stuck
                 if stop.any():
                     out[live[stop]] = plans[stop]
                     pots[live[stop]] = v[stop]
@@ -210,22 +202,22 @@ def _newton(plans, mu_rows, mu_cols, tol, size):
                 plans *= (mu_rows / plans.sum(axis=2))[:, :, None]
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise NumericError("newton scaling step failed: %s" % exc) from exc
-    return out, pots, np.repeat(failed, size)
+    return out, pots, failed
 
 
-def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol):
     """Alternating Sinkhorn scalings of a batch of positive kernels.
 
     Arguments and return values as in _scale. Runs at most max_iters
     scaling pairs, each half pair one batched matmul and one division over
     the live kernels. Row sums are exact because the row scaling runs
-    last. Every 4th pair the column residuals are checked: a group whose
-    residuals are all within tol is stored and dropped from the scaling,
-    so it stops at the same pair as it would alone. The log column
-    potentials are the logarithm of the final column scaling.
+    last. Every 4th pair the column residuals are checked: a kernel whose
+    residual is within tol is stored and dropped from the scaling, so it
+    stops at the same pair as it would alone, and the loop ends once every
+    kernel is done. The log column potentials are the logarithm of the
+    final column scaling.
     """
-    size = kernels.shape[0] // groups
-    plans = np.empty_like(kernels) if groups > 1 else None
+    plans = np.empty_like(kernels)
     pots = np.empty((kernels.shape[0], kernels.shape[2]))
     live = np.arange(kernels.shape[0])
     mu_rows = np.asarray(mu_rows, dtype=float)
@@ -234,27 +226,22 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     for pair in range(max(int(max_iters), 1)):
         ka = (kernels.transpose(0, 2, 1) @ a[:, :, None])[..., 0]
         if pair and pair % 4 == 0:
-            res = np.abs(b * ka - mu_cols)
-            if float(res.max()) <= tol:
+            done = np.abs(b * ka - mu_cols).max(axis=1) <= tol
+            if done.all():
                 break
-            if plans is not None:
-                done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
-                if done.any():
-                    plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
-                    pots[live[done]] = np.log(b[done])
-                    keep = ~done
-                    live, kernels = live[keep], kernels[keep]
-                    mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
-                    a, b, ka = a[keep], b[keep], ka[keep]
+            if done.any():
+                plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                pots[live[done]] = np.log(b[done])
+                keep = ~done
+                live, kernels = live[keep], kernels[keep]
+                mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
+                a, b, ka = a[keep], b[keep], ka[keep]
         b = mu_cols / ka
         a = mu_rows / (kernels @ b[:, :, None])[..., 0]
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
-    final = (a[:, :, None] * kernels) * b[:, None, :]
+    plans[live] = (a[:, :, None] * kernels) * b[:, None, :]
     pots[live] = np.log(b)
-    if plans is None:
-        return final, pots
-    plans[live] = final
     return plans, pots
 
 
@@ -289,29 +276,6 @@ def _marginals(shape, mu_row, mu_col):
     if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
         raise DomainError("marginals must be strictly positive")
     return mu_row, mu_col
-
-
-def sinkhorn_projection(kernel, mu_row, mu_col, inner_iters):
-    """Scale a strictly positive kernel onto the prescribed marginals.
-
-    Runs the shared scaling routine (_scale) to a column residual of
-    1e-12: Sinkhorn pairs, then Newton steps after the first
-    SINKHORN_WARMUP pairs when inner_iters exceeds SINKHORN_WARMUP.
-    inner_iters caps the Sinkhorn pairs, those of a Newton fallback
-    included.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 2:
-        raise DomainError("kernel must be 2-dimensional")
-    if not np.all(np.isfinite(kernel)):
-        raise NumericError("kernel contains non-finite entries")
-    if kernel.size == 0 or float(kernel.min()) <= 0.0:
-        raise DomainError("kernel entries must be strictly positive")
-    mu_row, mu_col = _marginals(kernel.shape, mu_row, mu_col)
-    if int(inner_iters) < 1:
-        raise DomainError("inner_iters must be at least 1")
-    plan = _scale(kernel[None], mu_row[None], mu_col[None], int(inner_iters), 1e-12)[0][0]
-    return TransportPlan(plan, mu_row, mu_col)
 
 
 def _northwest_corner(mu_row, mu_col):
@@ -370,7 +334,7 @@ def proximal_gw(a: SpaceLike, w: SpaceLike, cfg: Optional[SolverConfig] = None) 
     the kernel exp(-(cost)/beta) ⊙ T, rescales it onto the marginals to a
     column residual of SCALING_TOL, and rounds the result exactly feasible.
     The rescaling is SINKHORN_WARMUP Sinkhorn pairs and then semi-dual
-    Newton steps; a solve that Newton leaves above SCALING_TOL after
+    Newton steps; a kernel that Newton leaves above SCALING_TOL after
     NEWTON_ITERS steps goes on with Sinkhorn, up to 500 pairs in all.
     Each start's kernel carries its log column potentials from one
     proximal step to the next: they are added to the log kernel before its
@@ -415,8 +379,8 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     its dense adjacencies, targets and cost offsets are stacked once per
     call, and its (space, restart) kernels share one stack in each
     proximal step. Nothing is padded: the scaling costs what the solves
-    need, and each space's restarts leave the stack at the check where
-    they would stop scaling alone. Every result is therefore bit-identical
+    need, and each (space, restart) kernel leaves the stack at the check
+    where it would stop scaling alone. Every result is therefore bit-identical
     to proximal_gw of that space and target alone, whatever else is in the
     batch. Each proximal step builds the costs of a whole class in two
     batched products (_costs), and the kernels and their rounding in one
@@ -465,8 +429,7 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
             np.exp(kernels, out=kernels)
             kernels *= stack
             np.maximum(kernels, KERNEL_FLOOR, out=kernels)
-            batch, steps = _scale(kernels.reshape(-1, n, k), mu_rows, mu_cols,
-                                  500, SCALING_TOL, groups=len(members))
+            batch, steps = _scale(kernels.reshape(-1, n, k), mu_rows, mu_cols, 500, SCALING_TOL)
             pots += steps.reshape(pots.shape)
             stack = _round_feasible(batch, mu_rows, mu_cols).reshape(stack.shape)
         for i, g in enumerate(members):

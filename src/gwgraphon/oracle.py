@@ -4,9 +4,9 @@ gw_distance_exact_small minimises the squared 2-order GW objective
 linᵀx − 2·xᵀ·kron(A, B)·x over the transport polytope exactly. A global
 minimum is the stationary point of a face whose reduced Hessian is positive
 definite, or has the value of one on a smaller face, so the oracle solves
-the stationarity system of every face, batched by support size and rank,
-and keeps the least feasible value. It imports only the input checks and
-the cost offset from gw.py; gw.py does not import it.
+the stationarity system of every face with a connected support, batched
+by support size, and keeps the least feasible value. It imports only the
+input checks and the cost offset from gw.py; gw.py does not import it.
 """
 
 from __future__ import annotations
@@ -21,33 +21,40 @@ from .gw import _as_space, gw_cost_offset
 
 @lru_cache(maxsize=None)
 def _faces(n, m):
-    """Every face of the n x m transport polytope that strictly positive
-    marginals can make nonempty, as groups of supports of one size and one
-    rank of their row-and-column-sum block.
+    """The faces of the n x m transport polytope whose support is a
+    connected bipartite graph on the rows and columns, grouped by support
+    size.
 
-    A support must touch every row and every column. Each group is
-    (indices, pinv, null): the supports' flat indices (F, s) into the
-    row-major plan, the pseudo-inverses (F, s, n + m) of their blocks and
-    orthonormal bases (F, s, s - rank) of the blocks' null spaces. The
-    rank-deficient supports stay: degenerate marginals can make them
-    feasible.
+    Its row-and-column-sum block has rank n + m - 1 exactly when a support
+    is connected, and these full-rank supports are the only ones needed. A
+    disconnected support is feasible only where the row and column masses
+    of each of its components agree. Join its components by bridge cells
+    into a connected support. Each bridge is then a cut edge, so the
+    marginals force its flow to the row mass minus the column mass on one
+    side of it, which is 0. The bridges thus carry no flow anywhere on the
+    larger face's affine hull and no null vector uses them, so the larger
+    face has the same stationary point, reduced Hessian and value as the
+    smaller one.
+
+    Each group is (indices, pinv, null): the supports' flat indices (F, s)
+    into the row-major plan, the pseudo-inverses (F, s, n + m) of their
+    blocks and orthonormal bases (F, s, s - n - m + 1) of the blocks' null
+    spaces.
     """
-    nm = n * m
+    nm, rank = n * m, n + m - 1
     cells = ((np.arange(1, 2 ** nm)[:, None] >> np.arange(nm)) & 1).astype(bool)
     grid = cells.reshape(-1, n, m)
     cells = cells[grid.any(axis=2).all(axis=1) & grid.any(axis=1).all(axis=1)]
     block = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
     sizes = cells.sum(axis=1)
     groups = []
-    for s in np.unique(sizes):
+    for s in range(rank, nm + 1):
         idx = np.nonzero(cells[sizes == s])[1].reshape(-1, s)
         u, sv, vt = np.linalg.svd(block[:, idx].transpose(1, 0, 2))
-        ranks = (sv > 1e-9).sum(axis=1)
-        for r in np.unique(ranks):
-            pick = ranks == r
-            left, right = u[pick, :, :r], vt[pick, :r].transpose(0, 2, 1)
-            pinv = (right / sv[pick, None, :r]) @ left.transpose(0, 2, 1)
-            groups.append((idx[pick].astype(np.uint8), pinv, vt[pick, r:].transpose(0, 2, 1)))
+        full = (sv > 1e-9).sum(axis=1) == rank
+        left, right = u[full, :, :rank], vt[full, :rank].transpose(0, 2, 1)
+        pinv = (right / sv[full, None, :rank]) @ left.transpose(0, 2, 1)
+        groups.append((idx[full].astype(np.uint8), pinv, vt[full, rank:].transpose(0, 2, 1)))
     return groups
 
 

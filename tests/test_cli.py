@@ -192,6 +192,27 @@ def test_cluster_reads_tu_datasets(tmp_path, capsys):
                                        "predicted_labels.txt"]
 
 
+def test_cluster_limit_cuts_file_labels_too(tmp_path, capsys):
+    """--limit L keeps the first L lines of a --labels file, as it keeps the
+    first L labels of a tu: dataset; a file with fewer labels than the
+    limited population is still a usage error."""
+    pop = str(tmp_path / "pop")
+    assert main(["sample", "--graphon", "xy", "--count", "6", "--nodes", "12",
+                 "--seed", "2", "--out", pop]) == 0
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n0\n1\n0\n1\n")
+    argv = ["cluster", "--in", pop, "--clusters", "2", "--rounds", "1",
+            "--labels", str(labels), "--out", str(tmp_path / "fit")]
+    assert main(argv + ["--limit", "4"]) == 0
+    fields = _last_fields(capsys)
+    assert fields["m"] == "4"
+    assert 0.5 <= float(fields["accuracy"]) <= 1.0
+    assert len((tmp_path / "fit" / "predicted_labels.txt").read_text().split()) == 4
+    labels.write_text("0\n1\n0\n")
+    assert main(argv + ["--limit", "4"]) == 2
+    assert "got 3 labels for 4 graphs" in capsys.readouterr().err
+
+
 def test_benchmark_grid_and_determinism(tmp_path, capsys):
     args = ["benchmark", "--families", "xy", "--methods", "usvt,naive",
             "--trials", "3", "--count", "3", "--nodes", "30:40",

@@ -17,8 +17,7 @@ from gwgraphon.barycenter import estimate_gwb
 from gwgraphon.evaluation import gw_error, scoring_config
 from gwgraphon.graphons import FAMILY_NAMES, GraphonSpec, discretize_graphon
 from gwgraphon.gw import (SCALING_TOL, GwResult, _scale, entropic_ot,
-                          gw_cost_offset, proximal_gw, proximal_gw_batch,
-                          sinkhorn_projection)
+                          gw_cost_offset, proximal_gw, proximal_gw_batch)
 from gwgraphon.oracle import gw_distance_exact_small
 from gwgraphon.sampling import sample_graph, sample_population
 
@@ -432,27 +431,6 @@ def test_overflowing_log_kernel_is_a_numeric_error():
         entropic_ot(np.full((3, 3), 1e10), mu, mu, beta=1e-300)
 
 
-def test_sinkhorn_projection_hits_marginals(rng):
-    kernel = rng.random((6, 4)) + 0.05
-    mu_row = random_measure(rng, 6)
-    mu_col = random_measure(rng, 4)
-    plan = sinkhorn_projection(kernel, mu_row, mu_col, 500)
-    assert float(np.abs(plan.coupling.sum(axis=1) - mu_row).max()) <= 1e-6
-    assert float(np.abs(plan.coupling.sum(axis=0) - mu_col).max()) <= 1e-6
-
-
-def test_sinkhorn_projection_validation(rng):
-    mu = random_measure(rng, 3)
-    with pytest.raises(DomainError):
-        sinkhorn_projection(np.zeros((3, 3)), mu, mu, 10)
-    with pytest.raises(DomainError):
-        sinkhorn_projection(np.ones((2, 3)), mu, mu, 10)
-    with pytest.raises(DomainError):
-        sinkhorn_projection(np.ones((3, 3)), mu, mu, 0)
-    with pytest.raises(NumericError):
-        sinkhorn_projection(np.full((3, 3), np.inf), mu, mu, 10)
-
-
 def test_entropic_ot_constant_cost_gives_product(rng):
     mu_row = random_measure(rng, 5)
     mu_col = random_measure(rng, 3)
@@ -518,37 +496,12 @@ def test_equal_size_batch_is_bit_identical_to_single_solves(restarts):
         assert res.distance_sq == alone.distance_sq
 
 
-def test_converged_group_stops_at_its_own_pair(rng):
-    """A group of kernels that converges at the first check is stored there
-    with the plan it gets alone; the other group, with other column
-    marginals, scales on to its own end."""
-    n, k = 9, 5
-    fast = [np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5) for _ in range(2)]
-    slow = [np.exp(-rng.random((n, k)) / 0.02) for _ in range(2)]
-    kernels = np.stack(fast + slow)
-    mu_rows = np.stack([random_measure(rng, n) for _ in range(4)])
-    mu_cols = np.repeat(np.stack([random_measure(rng, k) for _ in range(2)]), 2, axis=0)
-    assert not np.array_equal(mu_cols[0], mu_cols[2])
-    batch = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=2)[0]
-    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 500, SCALING_TOL)[0]
-    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 500, SCALING_TOL)[0]
-    np.testing.assert_array_equal(batch[:2], alone_fast)
-    np.testing.assert_array_equal(batch[2:], alone_slow)
-    assert float(np.abs(batch[:2].sum(axis=1) - mu_cols[0]).max()) <= SCALING_TOL
-    # the first check comes after pair 4: the fast group stopped there
-    np.testing.assert_array_equal(alone_fast, _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 5,
-                                                     SCALING_TOL)[0])
-    assert not np.array_equal(alone_slow, _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 5,
-                                                 SCALING_TOL)[0])
-
-
-def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
+def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol):
     """The Sinkhorn loop written out on its own: every half pair is one pass
-    over the live stack into fresh arrays, checked every 4th pair. _scale up
-    to the warm-up, and gw._sinkhorn at any cap, must match it bit for
-    bit."""
-    size = kernels.shape[0] // groups
-    plans = np.empty_like(kernels) if groups > 1 else None
+    over the live stack into fresh arrays, checked every 4th pair, where
+    each kernel within tol is stored and leaves the stack. gw._sinkhorn
+    must match it bit for bit at any cap."""
+    plans = np.empty_like(kernels)
     live = np.arange(kernels.shape[0])
     a = np.array(mu_rows, dtype=float)
     b = None
@@ -556,52 +509,79 @@ def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
     for it in range(int(max_iters)):
         ka = (kernels_t @ a[:, :, None])[..., 0]
         if b is not None and it % 4 == 0:
-            res = np.abs(b * ka - mu_cols)
-            if float(res.max()) <= tol:
-                break
-            if plans is not None:
-                done = np.repeat(res.reshape(-1, size * res.shape[1]).max(axis=1) <= tol, size)
-                if done.any():
-                    plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
-                    keep = ~done
-                    live, kernels = live[keep], kernels[keep]
-                    mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
-                    a, b, ka = a[keep], b[keep], ka[keep]
-                    kernels_t = kernels.transpose(0, 2, 1)
+            done = np.abs(b * ka - mu_cols).max(axis=1) <= tol
+            plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+            keep = ~done
+            live, kernels = live[keep], kernels[keep]
+            mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
+            a, b, ka = a[keep], b[keep], ka[keep]
+            kernels_t = kernels.transpose(0, 2, 1)
+            if live.size == 0:
+                return plans
         b = mu_cols / ka
         a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
     if b is None:
         b = mu_cols / ((kernels_t @ a[:, :, None])[..., 0])
         a = mu_rows / ((kernels @ b[:, :, None])[..., 0])
-    final = (a[:, :, None] * kernels) * b[:, None, :]
-    if plans is None:
-        return final
-    plans[live] = final
+    plans[live] = (a[:, :, None] * kernels) * b[:, None, :]
     return plans
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), count=st.integers(1, 8), n=st.integers(1, 40), k=st.integers(1, 30),
-       cap=st.integers(1, 37), tol=st.sampled_from([SCALING_TOL, -1.0]),
-       seed=st.integers(0, 2 ** 16))
-def test_sliced_scaling_matches_the_reference_loop(data, count, n, k, cap, tol, seed):
-    """Whatever the groups and cap, _scale returns the plans of the
-    reference loop bit for bit. Rank-one groups converge at the first check
-    and leave the stack while the others scale on. Caps past the warm-up
-    call _sinkhorn, the loop that _scale's Newton tail takes over from."""
-    groups = data.draw(st.sampled_from([g for g in range(1, count + 1) if count % g == 0]))
-    rng = np.random.default_rng(seed)
+def _scaling_stack(rng, count, n, k):
+    """count random kernels of n x k with widths 0.02, 0.2 or 1.0, about a
+    third of them replaced by rank-one kernels, and random marginals.
+    Returns the stack, its marginals and the rank-one mask."""
     kernels = np.exp(-rng.random((count, n, k)) / rng.choice([0.02, 0.2, 1.0], (count, 1, 1)))
-    size = count // groups
-    for g in np.flatnonzero(rng.random(groups) < 0.3):
-        for s in range(g * size, (g + 1) * size):
-            kernels[s] = np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5)
+    rank_one = rng.random(count) < 0.3
+    for s in np.flatnonzero(rank_one):
+        kernels[s] = np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5)
     mu_rows = np.stack([random_measure(rng, n) for _ in range(count)])
     mu_cols = np.stack([random_measure(rng, k) for _ in range(count)])
-    expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol, groups)
-    scale = _scale if cap <= gw.SINKHORN_WARMUP else gw._sinkhorn
-    got = scale(kernels, mu_rows, mu_cols, cap, tol, groups)[0]
+    return kernels, mu_rows, mu_cols, rank_one
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 8), n=st.integers(1, 40), k=st.integers(1, 30),
+       cap=st.integers(1, 60), tol=st.sampled_from([SCALING_TOL, -1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_sinkhorn_matches_the_reference_loop(count, n, k, cap, tol, seed):
+    """Whatever the stack and cap, gw._sinkhorn returns the plans of the
+    reference loop bit for bit. Rank-one kernels converge at the first
+    check and leave the stack while the others scale on; at tol = -1 none
+    converges and every kernel scales to the cap."""
+    rng = np.random.default_rng(seed)
+    kernels, mu_rows, mu_cols, _ = _scaling_stack(rng, count, n, k)
+    expected = _reference_scale(kernels, mu_rows, mu_cols, cap, tol)
+    got = gw._sinkhorn(kernels, mu_rows, mu_cols, cap, tol)[0]
     np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 8), n=st.integers(1, 40), k=st.integers(1, 30),
+       cap=st.one_of(st.integers(1, 40), st.just(500)),
+       newton_iters=st.sampled_from([0, 2, gw.NEWTON_ITERS]), seed=st.integers(0, 2 ** 16))
+def test_every_kernel_scales_as_it_does_alone(count, n, k, cap, newton_iters, seed):
+    """Every kernel of a stack with mixed widths gets, bit for bit, the plan
+    and the log column potentials it gets scaled alone: from _scale past
+    the warm-up, whether Newton converges or gives up on some kernels
+    (NEWTON_ITERS patched to 0 or 2) and they fall back to Sinkhorn, and
+    from gw._sinkhorn at caps up to the warm-up. A rank-one kernel is
+    stored at the first check, after pair 4, however slow the others are,
+    and never enters Newton."""
+    rng = np.random.default_rng(seed)
+    kernels, mu_rows, mu_cols, rank_one = _scaling_stack(rng, count, n, k)
+    scale = _scale if cap > gw.SINKHORN_WARMUP else gw._sinkhorn
+    with mock.patch.object(gw, "NEWTON_ITERS", newton_iters):
+        plans, pots = scale(kernels, mu_rows, mu_cols, cap, SCALING_TOL)
+        for s in range(count):
+            alone = scale(kernels[s:s + 1], mu_rows[s:s + 1], mu_cols[s:s + 1], cap, SCALING_TOL)
+            np.testing.assert_array_equal(plans[s], alone[0][0])
+            np.testing.assert_array_equal(pots[s], alone[1][0])
+    for s in np.flatnonzero(rank_one):
+        first = gw._sinkhorn(kernels[s:s + 1], mu_rows[s:s + 1], mu_cols[s:s + 1], min(cap, 5),
+                             SCALING_TOL)
+        np.testing.assert_array_equal(plans[s], first[0][0])
+        np.testing.assert_array_equal(pots[s], first[1][0])
 
 
 def _round_stack(rng, widest=0.2):
@@ -616,26 +596,26 @@ def _round_stack(rng, widest=0.2):
     return kernels, mu_rows, mu_cols
 
 
-def test_stack_past_the_cache_equals_its_one_slice_run(rng):
-    """Criterion 08's round stack, with one group per kernel, scales up to
-    the cap of 500 pairs exactly as the reference loop does. The kernels'
-    widths spread their Sinkhorn stops from pair 24 to the cap, so groups
-    leave the stack at many checks."""
+def test_round_stack_sinkhorn_matches_the_reference_loop(rng):
+    """Criterion 08's round stack scales up to the cap of 500 pairs exactly
+    as the reference loop does. The kernels' widths spread their Sinkhorn
+    stops from pair 24 to the cap, so kernels leave the stack at many
+    checks."""
     kernels, mu_rows, mu_cols = _round_stack(rng)
-    got = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)[0]
-    expected = _reference_scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)
+    got = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
+    expected = _reference_scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)
     assert np.array_equal(got, expected)
 
 
 def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
     """Sinkhorn alone leaves most of criterion 08's round stack at the cap
     of 500 pairs once its widths stop at beta = 0.01. With the Newton tail
-    every group converges without falling back to Sinkhorn, every column
+    every kernel converges without falling back to Sinkhorn, every column
     residual is within SCALING_TOL, the rows stay on their marginal to
-    float precision, and each group of 4 kernels gets the plans it gets
+    float precision, and each run of 4 kernels gets the plans it gets
     scaled alone."""
     kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.01)
-    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=80)[0]
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
     assert np.mean(np.abs(sinkhorn.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL) > 0.5
     real_newton, fallbacks = gw._newton, []
 
@@ -645,7 +625,7 @@ def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
         return plans, pots, failed
 
     with mock.patch.object(gw, "_newton", recording_newton):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=20)[0]
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
     assert fallbacks == [0]
     assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
     np.testing.assert_allclose(plans.sum(axis=2), mu_rows, rtol=1e-14, atol=0.0)
@@ -655,43 +635,46 @@ def test_newton_tail_converges_where_sinkhorn_stops_at_the_cap(rng):
         np.testing.assert_array_equal(plans[lo:lo + 4], alone)
 
 
-def test_converged_kernel_waits_for_its_group_without_newton_steps(rng):
+def test_converged_kernel_never_enters_newton(rng):
     """A rank-one kernel is within SCALING_TOL after the first Sinkhorn
-    pair. Grouped with a kernel that needs Newton steps, it leaves the
-    Newton stack at the first check without a step, instead of stepping on
-    a rounding-level direction, whose line search would fail and send the
-    group back to Sinkhorn."""
+    pair. Stacked with a kernel that needs Newton steps, it is stored at
+    the first check and never enters Newton, so it takes no step on a
+    rounding-level direction, whose line search would fail and send it
+    back to Sinkhorn; only the slow kernel enters, and converges."""
     kernels, mu_rows, mu_cols = (s[:2].copy() for s in _round_stack(rng, widest=0.01))
     kernels[0] = np.outer(rng.random(200) + 0.5, rng.random(29) + 0.5)
-    real_newton, fallbacks, steps = gw._newton, [], []
+    real_newton, entered, fallbacks = gw._newton, [], []
 
-    def recording_newton(*args):
-        plans, pots, failed = real_newton(*args)
+    def recording_newton(plans, *args):
+        entered.append(plans.copy())
+        out, pots, failed = real_newton(plans, *args)
         fallbacks.append(int(failed.sum()))
-        steps.append(pots)
-        return plans, pots, failed
+        return out, pots, failed
 
     with mock.patch.object(gw, "_newton", recording_newton):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)[0]
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
+    warm = gw._sinkhorn(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL)[0]
+    assert len(entered) == 1 and entered[0].shape[0] == 1
+    np.testing.assert_array_equal(entered[0][0], warm[1])
     assert fallbacks == [0]
-    assert not np.any(steps[0][0]) and np.any(steps[0][1])
+    np.testing.assert_array_equal(plans[0], warm[0])
     assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
 
 
 def test_newton_fallback_goes_on_with_sinkhorn(rng):
-    """A group that Newton gives up on (here every group, with
+    """A kernel that Newton gives up on (here every kernel, with
     NEWTON_ITERS = 0) goes on with Sinkhorn from the plan Newton left for
     the rest of the pair cap, so it ends where the uninterrupted Sinkhorn
-    loop ends, up to rounding and the stopping tolerance; each group still
-    gets the plans it gets alone."""
+    loop ends, up to rounding and the stopping tolerance; each pair of
+    kernels still gets the plans it gets alone."""
     kernels, mu_rows, mu_cols = (s[::8] for s in _round_stack(rng, widest=0.01))
     with mock.patch.object(gw, "NEWTON_ITERS", 0):
-        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)[0]
+        plans = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
         for lo in range(0, 10, 2):
             alone = _scale(kernels[lo:lo + 2], mu_rows[lo:lo + 2], mu_cols[lo:lo + 2], 500,
                            SCALING_TOL)[0]
             np.testing.assert_array_equal(plans[lo:lo + 2], alone)
-    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=5)[0]
+    sinkhorn = gw._sinkhorn(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
     np.testing.assert_allclose(plans, sinkhorn, rtol=0.0, atol=1e-9)
 
 
@@ -711,50 +694,28 @@ def _record_newton(flags):
 def test_potentials_reproduce_each_plan(rng, path):
     """The log column potentials v that _scale returns give each plan as
     diag(r)·K·diag(exp(v)): P / (K·exp(v)) has constant rows, to 1e-12
-    relative, whether the scaling ends in Sinkhorn (the widest groups are
-    stored at checks before the cap), in Newton steps, or in the Sinkhorn
-    fallback after Newton gives up (NEWTON_ITERS = 0)."""
+    relative, whether the scaling ends in Sinkhorn (the warm-up alone, where
+    the widest kernels are stored at checks before its last pair), in
+    Newton steps, or in the Sinkhorn fallback after Newton gives up
+    (NEWTON_ITERS = 0)."""
     kernels, mu_rows, mu_cols = _round_stack(rng, widest=0.2 if path == "sinkhorn" else 0.01)
     flags = []
     with mock.patch.object(gw, "_newton", _record_newton(flags)), \
             mock.patch.object(gw, "NEWTON_ITERS", 0 if path == "fallback" else gw.NEWTON_ITERS):
         if path == "sinkhorn":
-            plans, pots = _scale(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL,
-                                 groups=80)
+            plans, pots = gw._sinkhorn(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP,
+                                       SCALING_TOL)
         else:
             kernels, mu_rows, mu_cols = kernels[::4], mu_rows[::4], mu_cols[::4]
-            plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=10)
-    if path == "sinkhorn":
-        assert flags == []
-    elif path == "newton":
+            plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)
+    if path == "newton":
         assert len(flags) == 1 and not flags[0].any()
         assert float(np.abs(plans.sum(axis=1) - mu_cols).max()) <= SCALING_TOL
-    else:
+    elif path == "fallback":
         assert len(flags) == 1 and flags[0].all()
     rows = plans / (kernels * np.exp(pots)[:, None, :])
     np.testing.assert_allclose(rows, np.repeat(rows[:, :, :1], rows.shape[2], axis=2),
                                rtol=1e-12, atol=0.0)
-
-
-def test_kernels_in_one_group_get_their_solo_plans_from_newton(rng):
-    """Kernels of criterion 08's round stack that all enter Newton leave
-    its stack each at its own step, so in one group each gets the plan and
-    the potentials it gets scaled alone, bit for bit."""
-    kernels, mu_rows, mu_cols = _round_stack(rng)
-    warm = gw._sinkhorn(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL, groups=80)[0]
-    pick = np.flatnonzero(np.abs(warm.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL)[::3]
-    assert pick.size >= 4
-    kernels, mu_rows, mu_cols = kernels[pick], mu_rows[pick], mu_cols[pick]
-    flags = []
-    with mock.patch.object(gw, "_newton", _record_newton(flags)):
-        plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL, groups=1)
-        alone = [_scale(kernels[s:s + 1], mu_rows[s:s + 1], mu_cols[s:s + 1], 500, SCALING_TOL)
-                 for s in range(pick.size)]
-    assert [f.size for f in flags] == [pick.size] + [1] * pick.size
-    assert not any(f.any() for f in flags)
-    for s, (plan, pot) in enumerate(alone):
-        np.testing.assert_array_equal(plans[s], plan[0])
-        np.testing.assert_array_equal(pots[s], pot[0])
 
 
 def test_newton_float_fault_is_a_numeric_error():
@@ -762,7 +723,7 @@ def test_newton_float_fault_is_a_numeric_error():
     NumericError, not as a numpy warning."""
     plans = np.full((1, 3, 2), 1e308)
     with pytest.raises(NumericError):
-        gw._newton(plans, np.full((1, 3), 1.0 / 3), np.full((1, 2), 0.5), SCALING_TOL, 1)
+        gw._newton(plans, np.full((1, 3), 1.0 / 3), np.full((1, 2), 0.5), SCALING_TOL)
 
 
 def _isolated_graph(rng, n, isolated):
@@ -803,8 +764,8 @@ def test_every_scaling_converges_in_a_fit_and_its_score():
     graphs = sample_population(GraphonSpec("abs_diff"), 10, (200, 200), seed=1)
     residuals = []
 
-    def recording_scale(kernels, mu_rows, mu_cols, max_iters, tol, groups=1):
-        plans, pots = _scale(kernels, mu_rows, mu_cols, max_iters, tol, groups)
+    def recording_scale(kernels, mu_rows, mu_cols, max_iters, tol):
+        plans, pots = _scale(kernels, mu_rows, mu_cols, max_iters, tol)
         residuals.append(float(np.abs(plans.sum(axis=1) - mu_cols).max()))
         return plans, pots
 
