@@ -496,6 +496,30 @@ def test_equal_size_batch_is_bit_identical_to_single_solves(restarts):
         assert res.distance_sq == alone.distance_sq
 
 
+def test_converged_group_stops_at_its_own_pair(rng):
+    """Kernels that converge at the first check are stored there with the
+    plans they get alone; the slow kernels stacked with them, with other
+    column marginals, scale on to their own end."""
+    n, k = 9, 5
+    fast = [np.outer(rng.random(n) + 0.5, rng.random(k) + 0.5) for _ in range(2)]
+    slow = [np.exp(-rng.random((n, k)) / 0.02) for _ in range(2)]
+    kernels = np.stack(fast + slow)
+    mu_rows = np.stack([random_measure(rng, n) for _ in range(4)])
+    mu_cols = np.repeat(np.stack([random_measure(rng, k) for _ in range(2)]), 2, axis=0)
+    assert not np.array_equal(mu_cols[0], mu_cols[2])
+    batch = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)[0]
+    alone_fast = _scale(kernels[:2], mu_rows[:2], mu_cols[:2], 500, SCALING_TOL)[0]
+    alone_slow = _scale(kernels[2:], mu_rows[2:], mu_cols[2:], 500, SCALING_TOL)[0]
+    np.testing.assert_array_equal(batch[:2], alone_fast)
+    np.testing.assert_array_equal(batch[2:], alone_slow)
+    assert float(np.abs(batch[:2].sum(axis=1) - mu_cols[:2]).max()) <= SCALING_TOL
+    # the first check comes after pair 4: the fast kernels stopped there
+    np.testing.assert_array_equal(alone_fast, gw._sinkhorn(kernels[:2], mu_rows[:2], mu_cols[:2],
+                                                           5, SCALING_TOL)[0])
+    assert not np.array_equal(alone_slow, gw._sinkhorn(kernels[2:], mu_rows[2:], mu_cols[2:], 5,
+                                                       SCALING_TOL)[0])
+
+
 def _reference_scale(kernels, mu_rows, mu_cols, max_iters, tol):
     """The Sinkhorn loop written out on its own: every half pair is one pass
     over the live stack into fresh arrays, checked every 4th pair, where
@@ -716,6 +740,27 @@ def test_potentials_reproduce_each_plan(rng, path):
     rows = plans / (kernels * np.exp(pots)[:, None, :])
     np.testing.assert_allclose(rows, np.repeat(rows[:, :, :1], rows.shape[2], axis=2),
                                rtol=1e-12, atol=0.0)
+
+
+def test_kernels_in_one_group_get_their_solo_plans_from_newton(rng):
+    """Kernels of criterion 08's round stack that all enter Newton together
+    leave its stack each at its own step, so each gets the plan and the
+    potentials it gets scaled alone, bit for bit."""
+    kernels, mu_rows, mu_cols = _round_stack(rng)
+    warm = gw._sinkhorn(kernels, mu_rows, mu_cols, gw.SINKHORN_WARMUP, SCALING_TOL)[0]
+    pick = np.flatnonzero(np.abs(warm.sum(axis=1) - mu_cols).max(axis=1) > SCALING_TOL)[::3]
+    assert pick.size >= 4
+    kernels, mu_rows, mu_cols = kernels[pick], mu_rows[pick], mu_cols[pick]
+    flags = []
+    with mock.patch.object(gw, "_newton", _record_newton(flags)):
+        plans, pots = _scale(kernels, mu_rows, mu_cols, 500, SCALING_TOL)
+        alone = [_scale(kernels[s:s + 1], mu_rows[s:s + 1], mu_cols[s:s + 1], 500, SCALING_TOL)
+                 for s in range(pick.size)]
+    assert [f.size for f in flags] == [pick.size] + [1] * pick.size
+    assert not any(f.any() for f in flags)
+    for s, (plan, pot) in enumerate(alone):
+        np.testing.assert_array_equal(plans[s], plan[0])
+        np.testing.assert_array_equal(pots[s], pot[0])
 
 
 def test_newton_float_fault_is_a_numeric_error():
