@@ -33,8 +33,9 @@ for alpha in (1e-4, 2e-4, 1e-3):
           % (alpha, total_variation(smoothed.values),
              gw_error(smoothed, spec, resolution=300)))
 
-# the default update solves a factorized form of the regularized equation;
-# the iterative mode solves the equation itself and serves as the reference
+# the default update solves the paper's factorized form of the regularized
+# equation; the exact mode solves the equation itself and serves as the
+# reference; both take one eigendecomposition of the filter
 cfg = SolverConfig()
 for mode in SmoothedSolveMode:
     est = estimate_sgwb(graphs, cfg, mode=mode)

@@ -74,9 +74,14 @@ def _coupling(plan):
     return np.asarray(getattr(plan, "coupling", plan), dtype=float)
 
 
-def _average_pushforward(graphs, plans, weights=None):
-    """Weighted average Σ w·Tᵀ·A·T / Σ w over the population (w = 1 when
-    weights is None)."""
+def _average_pushforward(graphs, plans, mu_w, weights=None):
+    """mu_w as a float vector, and the weighted average Σ w·Tᵀ·A·T / Σ w over
+    the population (w = 1 when weights is None). mu_w must be nonempty,
+    finite and strictly positive, and every plan must map its graph's nodes
+    onto len(mu_w) blocks."""
+    mu_w = np.asarray(mu_w, dtype=float).ravel()
+    if not (mu_w.size > 0 and np.all(np.isfinite(mu_w)) and np.all(mu_w > 0.0)):
+        raise DomainError("mu_w entries must be finite and strictly positive")
     graphs = list(graphs)
     plans = list(plans)
     if not graphs:
@@ -87,9 +92,11 @@ def _average_pushforward(graphs, plans, weights=None):
     total = None
     for g, p, weight in zip(graphs, plans, weights):
         t = _coupling(p)
+        if t.shape != (g.node_count, mu_w.size):
+            raise DomainError("plan shape %s is not (%d, %d)" % (t.shape, g.node_count, mu_w.size))
         piece = weight * (t.T @ (_dense(g) @ t))
         total = piece if total is None else total + piece
-    return total / weights.sum()
+    return mu_w, total / weights.sum()
 
 
 def barycenter_update(graphs, plans, mu_w, weights=None) -> np.ndarray:
@@ -100,10 +107,7 @@ def barycenter_update(graphs, plans, mu_w, weights=None) -> np.ndarray:
     :param weights: optional nonnegative per-graph weights with a positive
         sum; the plain average when omitted.
     """
-    mu_w = np.asarray(mu_w, dtype=float).ravel()
-    if np.any(mu_w <= 0.0):
-        raise DomainError("mu_w entries must be strictly positive")
-    b = _average_pushforward(graphs, plans, weights)
+    mu_w, b = _average_pushforward(graphs, plans, mu_w, weights)
     w = b / np.outer(mu_w, mu_w)
     w = 0.5 * (w + w.T)
     return np.clip(w, 0.0, 1.0)

@@ -14,14 +14,16 @@ from .core import DomainError, NumericError, ObservedGraph, SolverConfig, StepFu
 class SmoothedSolveMode(enum.Enum):
     """How the regularized update equation is solved.
 
-    PAPER_CLOSED_FORM factorizes through a complex shift of the filter; it
+    Both modes diagonalise the filter in the measure's metric once and
+    apply one elementwise response to the averaged pushforward in that
+    basis. PAPER_CLOSED_FORM is the paper's complex-shift factorization; it
     is exact when the filter, the measure, and the averaged pushforward
     share an eigenbasis, and its gap to the exact solution vanishes
     linearly as alpha shrinks. At larger weights on generic inputs the two
     modes genuinely differ: the factorization then acts as its own
     smoothing of the pushforward rather than solving the update equation.
-    EXACT_ITERATIVE solves the update equation itself by conjugate
-    gradient and serves as the reference.
+    EXACT_ITERATIVE solves the update equation itself and serves as the
+    reference.
     """
 
     PAPER_CLOSED_FORM = "paper_closed_form"
@@ -57,67 +59,60 @@ def build_laplacian_filter(k) -> np.ndarray:
     return lap
 
 
-def _solve_closed_form(b, x, mu_w, alpha):
-    """Complex-shift factorization of the update equation (real part taken).
+def _spectral_solve(b, x, mu_w, alpha, response):
+    """D^-½·U·[C ⊙ response(t)]·Uᵀ·D^-½ for the eigenbasis of the filter.
 
-    With H = sqrt(2·alpha)·X + i·diag(mu), the product H·W·conj(H) equals
-    the left side of the update equation plus an imaginary commutator term,
-    so W = Re(H⁻¹·B·H⁻ᴴ) is exact whenever X, diag(mu) and B share an
-    eigenbasis; on other inputs the commutator gap grows linearly with
-    alpha. At alpha = 0 the formula collapses to the plain division by the
-    measure outer product.
+    G = D^-½·X·D^-½ = U·diag(λ)·Uᵀ with D = diag(mu_w), C = Uᵀ·D^-½·B·D^-½·U
+    and t = √(2·alpha)·λ. X·1 = 0, so √mu spans G's null space; it is split
+    off exactly as the first column of U, because a λ₀ left at rounding
+    level would break the large-alpha limits. The root is taken as
+    √2·√alpha so that 2·alpha cannot overflow. Only the response may
+    overflow, to the infinite denominators of its vanishing entries; any
+    other overflow, as for a solution past the largest float, is a
+    NumericError.
     """
-    # 2·alpha overflows above half the largest float, where the root is
-    # taken as √2·√alpha instead
-    if alpha <= np.finfo(float).max / 2.0:
-        root = np.sqrt(2.0 * alpha)
-    else:
-        root = np.sqrt(2.0) * np.sqrt(alpha)
-    h = root * x + 1j * np.diag(mu_w)
-    y = np.linalg.solve(h, b)
-    w = np.linalg.solve(np.conj(h), y.T).T
-    return np.real(w)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            s = 1.0 / np.sqrt(mu_w)
+            q = np.linalg.qr(np.sqrt(mu_w)[:, None], mode="complete")[0]
+            rest = q[:, 1:]
+            lam, v = np.linalg.eigh(rest.T @ (s[:, None] * x * s) @ rest)
+            u = np.hstack([q[:, :1], rest @ v])
+            t = np.sqrt(2.0) * np.sqrt(alpha) * np.concatenate(([0.0], lam))
+            c = u.T @ (s[:, None] * b * s) @ u
+            with np.errstate(over="ignore"):
+                f = c * response(t)
+            m = s[:, None] * u
+            return m @ f @ m.T
+    except FloatingPointError as exc:
+        raise NumericError("smoothing solve overflows: %s" % exc) from exc
+
+
+def _solve_closed_form(b, x, mu_w, alpha):
+    """The paper's complex-shift factorization of the update equation.
+
+    H = √(2·alpha)·X + i·D factors as D^½·(√(2·alpha)·G + i·I)·D^½, so
+    W = Re(H⁻¹·B·H⁻ᴴ) = Re(M·C·Mᴴ) with M = D^-½·U·diag(1/(t + i)). H·W·Hᴴ
+    is the left side of the update equation plus an imaginary commutator
+    term, so W is exact whenever X, D and B share an eigenbasis; on other
+    inputs the gap grows linearly with alpha. At alpha = 0 it is the plain
+    division by the measure outer product, and as alpha grows it tends to
+    the constant ΣB/(Σmu)².
+    """
+    return _spectral_solve(b, x, mu_w, alpha,
+                           lambda t: np.real(np.outer(1.0 / (t + 1j), 1.0 / (t - 1j))))
 
 
 def _solve_iterative(b, x, mu_w, alpha):
-    """Preconditioned CG on W -> 2·alpha·X·W·X + diag(mu)·W·diag(mu) = B.
+    """The exact solution of 2·alpha·X·W·X + D·W·D = B by diagonalisation.
 
-    Failure (divergence or hitting the iteration cap) is reported as a
-    NumericError, so numpy's own chatter on the way there is silenced.
+    In the eigenbasis of G the equation is diagonal: each entry of C is
+    divided by 1 + tᵢ·tⱼ (the symmetric case of Bartels and Stewart, CACM
+    1972). As alpha grows, W tends to the D-weighted projection of B onto
+    {1·aᵀ + a·1ᵀ}, the kernel of W -> X·W·X, whose modes the penalty leaves
+    alone.
     """
-    scale = np.outer(mu_w, mu_w)
-    diag = 2.0 * alpha * np.outer(np.diag(x), np.diag(x)) + scale
-
-    def apply(wm):
-        return 2.0 * alpha * (x @ wm @ x) + scale * wm
-
-    tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-30)
-    limit = 10 * b.shape[0] ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = b / scale  # unregularized solution as the starting point
-        r = b - apply(w)
-        z = r / diag
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        for _ in range(limit):
-            res = float(np.linalg.norm(r))
-            if not np.isfinite(res):
-                raise NumericError("conjugate gradient diverged (non-finite residual)")
-            if res <= tol:
-                break
-            ap = apply(p)
-            step = rz / float(np.vdot(p, ap))
-            w = w + step * p
-            r = r - step * ap
-            z = r / diag
-            rz_next = float(np.vdot(r, z))
-            p = z + (rz_next / rz) * p
-            rz = rz_next
-        else:
-            # NaN must fail this comparison, hence the negated form
-            if not (float(np.linalg.norm(r)) <= tol):
-                raise NumericError("conjugate gradient failed to converge within %d iterations" % limit)
-    return w
+    return _spectral_solve(b, x, mu_w, alpha, lambda t: 1.0 / (1.0 + np.outer(t, t)))
 
 
 def smoothed_barycenter_update(graphs, plans, mu_w, alpha,
@@ -131,14 +126,11 @@ def smoothed_barycenter_update(graphs, plans, mu_w, alpha,
     """
     mode = _as_mode(mode)
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise DomainError("alpha must be nonnegative")
-    mu_w = np.asarray(mu_w, dtype=float).ravel()
-    if np.any(mu_w <= 0.0):
-        raise DomainError("mu_w entries must be strictly positive")
+    if not (alpha >= 0.0 and np.isfinite(alpha)):
+        raise DomainError("alpha must be nonnegative and finite")
     if alpha == 0.0:
         return barycenter_update(graphs, plans, mu_w)
-    b = _average_pushforward(graphs, plans)
+    mu_w, b = _average_pushforward(graphs, plans, mu_w)
     k = mu_w.size
     if k >= 2:
         lap = build_laplacian_filter(k)

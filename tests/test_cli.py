@@ -82,15 +82,17 @@ def test_estimate_smoothed_exact_mode(tmp_path):
 
 
 def test_estimate_smoothed_at_the_largest_alphas(tmp_path):
-    """alpha = 1e308 is finite, so sgwb takes it like any other weight;
-    2·alpha overflows there, and the estimate must still come out."""
+    """alpha = 1e308 is finite, so sgwb takes it like any other weight in
+    either mode; 2·alpha overflows there, and the estimate must still come
+    out."""
     pop = _sample_dir(tmp_path, "pop")
-    for alpha in ("1e300", "1e308"):
-        out = str(tmp_path / ("w%s.txt" % alpha))
-        code = main(["estimate", "--in", pop, "--method", "sgwb", "--alpha=" + alpha,
-                     "--outer", "1", "--k", "3", "--out", out])
-        assert code == 0
-        assert np.all(np.isfinite(read_step_function(out).values))
+    for mode in ("paper", "exact"):
+        for alpha in ("1e6", "1e300", "1e308"):
+            out = str(tmp_path / ("w%s%s.txt" % (mode, alpha)))
+            code = main(["estimate", "--in", pop, "--method", "sgwb", "--alpha=" + alpha,
+                         "--mode", mode, "--outer", "1", "--k", "3", "--out", out])
+            assert code == 0
+            assert np.all(np.isfinite(read_step_function(out).values))
 
 
 def test_eval_mse_and_csv_append(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
-from gwgraphon.barycenter import estimate_gwb
+from gwgraphon.barycenter import barycenter_update, estimate_gwb
 from gwgraphon.core import DomainError, NumericError, SolverConfig
 from gwgraphon.graphons import GraphonSpec
 from gwgraphon.sampling import sample_population
@@ -114,8 +116,9 @@ def test_penalty_reduces_total_variation():
 
 
 def test_iterative_failure_is_reported(rng):
-    """A vanishing measure with a singular filter leaves no solution; the
-    solver must say so instead of returning garbage."""
+    """The equation has a unique solution, but with a vanishing measure and a
+    singular filter that solution lies past the largest float; the solver
+    must say so instead of returning garbage."""
     k = 5
     x = build_laplacian_filter(k)
     x = x.T @ x
@@ -156,20 +159,89 @@ def test_update_output_is_well_formed(rng):
         assert float(values.min()) >= 0.0 and float(values.max()) <= 1.0
 
 
-def test_closed_form_takes_alpha_past_half_the_largest_float(rng):
-    """2·alpha overflows once alpha passes half the largest float; the
-    closed form then takes its root as √2·√alpha and stays finite, while
-    every alpha up to that bound keeps the plain √(2·alpha)."""
-    k = 6
-    x = build_laplacian_filter(k)
-    x = x.T @ x
+def _kernel_projection(b, mu):
+    """The limit of the exact solve as alpha grows: W = 1·aᵀ + c·1ᵀ with
+    diag(mu)·W·diag(mu) - B orthogonal to that family, i.e. with the row
+    and column sums of diag(mu)·W·diag(mu) equal to those of B, as a
+    least-squares solve in the 2K unknowns (a, c)."""
+    k = mu.size
+    total = mu.sum()
+    rows = np.block([[np.outer(mu, mu), total * np.diag(mu)],
+                     [total * np.diag(mu), np.outer(mu, mu)]])
+    ac = np.linalg.lstsq(rows, np.concatenate([b.sum(axis=1), b.sum(axis=0)]), rcond=None)[0]
+    return ac[None, :k] + ac[k:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 60), spread=st.floats(0.0, 3.0), small=st.floats(-8.0, -2.0),
+       seed=st.integers(0, 2 ** 16))
+def test_spectral_solve_meets_the_equation_and_its_large_alpha_limits(k, spread, small, seed):
+    """Exact mode meets the update equation to 1e-8 relative at small
+    weights. At the largest weights it is the projection of B onto the
+    kernel of the penalty, and paper mode is the constant ΣB (mu sums to
+    1). Both stay finite and symmetric at every weight, the largest float
+    included."""
+    rng = np.random.default_rng(seed)
+    mu = 10.0 ** rng.uniform(0.0, spread, k)
+    mu /= mu.sum()
     b = rng.random((k, k))
     b = 0.5 * (b + b.T)
-    mu = rng.random(k) + 0.2
-    mu /= mu.sum()
-    for alpha in (1e308, np.finfo(float).max):
-        assert np.all(np.isfinite(_solve_closed_form(b, x, mu, alpha)))
-    half = np.finfo(float).max / 2.0
-    h = np.sqrt(2.0 * half) * x + 1j * np.diag(mu)
-    expected = np.real(np.linalg.solve(np.conj(h), np.linalg.solve(h, b).T).T)
-    np.testing.assert_array_equal(_solve_closed_form(b, x, mu, half), expected)
+    x = build_laplacian_filter(k) if k >= 2 else np.zeros((1, 1))
+    x = x.T @ x
+    alpha = 10.0 ** small
+    w = _solve_iterative(b, x, mu, alpha)
+    assert np.linalg.norm(_operator(w, x, mu, alpha) - b) <= 1e-8 * np.linalg.norm(b)
+    limit = _kernel_projection(b, mu)
+    largest = np.finfo(float).max
+    for alpha in (alpha, 0.5, 1e6, 1e200, 1e300, 1e308, largest / 2.0, largest):
+        for solve in (_solve_iterative, _solve_closed_form):
+            w = solve(b, x, mu, alpha)
+            assert np.all(np.isfinite(w))
+            np.testing.assert_allclose(w, w.T, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+        if alpha >= 1e200:
+            np.testing.assert_allclose(_solve_iterative(b, x, mu, alpha), limit,
+                                       rtol=0.0, atol=1e-12 * np.abs(limit).max())
+            np.testing.assert_allclose(_solve_closed_form(b, x, mu, alpha), b.sum(),
+                                       rtol=1e-12)
+
+
+def _update_inputs(rng):
+    g = random_graph(rng, 5)
+    return g, np.outer(g.measure, [0.5, 0.5])
+
+
+UPDATES = [
+    barycenter_update,
+    lambda graphs, plans, mu_w: smoothed_barycenter_update(graphs, plans, mu_w, 0.0),
+    lambda graphs, plans, mu_w: smoothed_barycenter_update(graphs, plans, mu_w, 0.1),
+    lambda graphs, plans, mu_w: smoothed_barycenter_update(graphs, plans, mu_w, 0.1,
+                                                           "exact_iterative"),
+]
+
+
+@pytest.mark.parametrize("update", UPDATES, ids=["plain", "smoothed_zero", "paper", "exact"])
+@pytest.mark.parametrize("mu_w, rows", [
+    ([0.5, np.nan], 5),
+    ([0.5, np.inf], 5),
+    ([], 5),
+    ([1 / 3, 1 / 3, 1 / 3], 5),
+    ([1.0], 5),
+    ([0.5, 0.5], 4),
+    ([0.5, 0.5], 6),
+])
+def test_updates_share_one_domain(rng, update, mu_w, rows):
+    """Both updates take a finite, strictly positive mu_w and plans that map
+    each graph's nodes onto len(mu_w) blocks, and raise DomainError
+    otherwise."""
+    g, plan = _update_inputs(rng)
+    plan = np.resize(plan, (rows, 2))
+    with pytest.raises(DomainError):
+        update([g], [plan], mu_w)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_smoothed_update_rejects_weights_outside_its_domain(rng, alpha):
+    g, plan = _update_inputs(rng)
+    for mode in SmoothedSolveMode:
+        with pytest.raises(DomainError):
+            smoothed_barycenter_update([g], [plan], [0.5, 0.5], alpha, mode)
