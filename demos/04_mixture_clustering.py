@@ -18,8 +18,7 @@ right = sample_population(GraphonSpec("bipartite"), count=8,
 graphs = list(left) + list(right)
 truth = [0] * 8 + [1] * 8
 
-model = estimate_mixture(graphs, c=2, cfg=SolverConfig(seed=0), rounds=3,
-                         track_objective=True)
+model = estimate_mixture(graphs, c=2, cfg=SolverConfig(seed=0), rounds=3)
 labels = assign_clusters(model)
 
 print("true labels:      %s" % truth)

@@ -6,7 +6,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import MIN_NODES, DomainError, ObservedGraph, SolverConfig, StepFunction, _dense
+from .core import (MIN_NODES, DomainError, ObservedGraph, SolverConfig, StepFunction,
+                   _check_measure, _dense)
 from .gw import proximal_gw_batch
 
 
@@ -76,12 +77,10 @@ def _coupling(plan):
 
 def _average_pushforward(graphs, plans, mu_w, weights=None):
     """mu_w as a float vector, and the weighted average Σ w·Tᵀ·A·T / Σ w over
-    the population (w = 1 when weights is None). mu_w must be nonempty,
-    finite and strictly positive, and every plan must map its graph's nodes
-    onto len(mu_w) blocks."""
-    mu_w = np.asarray(mu_w, dtype=float).ravel()
-    if not (mu_w.size > 0 and np.all(np.isfinite(mu_w)) and np.all(mu_w > 0.0)):
-        raise DomainError("mu_w entries must be finite and strictly positive")
+    the population (w = 1 when weights is None). mu_w must be a probability
+    measure (finite, strictly positive, summing to 1 within 1e-9), and every
+    plan must map its graph's nodes onto len(mu_w) blocks."""
+    mu_w = _check_measure(mu_w, "mu_w", 1e-9, DomainError)
     graphs = list(graphs)
     plans = list(plans)
     if not graphs:

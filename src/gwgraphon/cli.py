@@ -313,7 +313,7 @@ def _cmd_benchmark(args) -> int:
     for family, method, trial in cells:
         try:
             rows.append(_benchmark_cell(family, method, trial, args, n_min, n_max))
-        except (GraphonError, OSError, FloatingPointError) as exc:
+        except (GraphonError, OSError) as exc:
             print("cell family=%s method=%s trial=%d failed: %s"
                   % (family, method, trial, exc), file=sys.stderr)
             rows.append(ResultRow(graphon_family=family, method=method, trial=trial,

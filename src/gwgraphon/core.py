@@ -1,4 +1,6 @@
-"""Core domain types: step functions, observed graphs, transport plans, solver settings."""
+"""Core domain types (step functions, observed graphs, transport plans, solver
+settings) and the one check of each input rule, which raises the error class
+its caller passes: DomainError for arguments, ValidationError for objects."""
 
 from __future__ import annotations
 
@@ -44,14 +46,14 @@ class NumericError(GraphonError, ArithmeticError):
     """A numerical routine failed to produce a usable result."""
 
 
-def _as_float_array(x, name, ndim):
+def _as_float_array(x, name, ndim, error=ValidationError):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != ndim:
-        raise ValidationError("%s must be %d-dimensional, got shape %s" % (name, ndim, arr.shape))
+        raise error("%s must be %d-dimensional, got shape %s" % (name, ndim, arr.shape))
     if arr.size == 0:
-        raise ValidationError("%s must be nonempty" % name)
+        raise error("%s must be nonempty" % name)
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("%s contains non-finite entries" % name)
+        raise error("%s contains non-finite entries" % name)
     return arr
 
 
@@ -61,12 +63,81 @@ def _frozen(arr):
     return out
 
 
-def _check_measure(measure, name="measure", tol=MEASURE_SUM_TOL):
-    if np.any(measure <= 0.0):
-        raise ValidationError("%s entries must be strictly positive" % name)
+def _check_measure(measure, name="measure", tol=MEASURE_SUM_TOL, error=ValidationError):
+    """measure as a float vector: finite, strictly positive, summing to 1 within tol."""
+    measure = np.asarray(measure, dtype=float).ravel()
+    if not np.all(np.isfinite(measure) & (measure > 0.0)):
+        raise error("%s entries must be finite and strictly positive" % name)
     total = float(measure.sum())
     if abs(total - 1.0) > tol:
-        raise ValidationError("%s must sum to 1, got %.17g" % (name, total))
+        raise error("%s must sum to 1, got %.17g" % (name, total))
+    return measure
+
+
+def _check_adjacency(adjacency, error=ValidationError):
+    """The _dense array of a simple graph: nonempty square finite 0/1, zero diagonal, symmetric."""
+    dense = _dense(adjacency)
+    if dense.ndim != 2:
+        raise error("adjacency must be 2-dimensional")
+    if dense.shape[0] != dense.shape[1]:
+        raise error("adjacency must be square, got shape %s" % (dense.shape,))
+    if dense.shape[0] == 0:
+        raise error("adjacency must be nonempty")
+    if not np.all(np.isfinite(dense)):
+        raise error("adjacency contains non-finite entries")
+    if np.any((dense != 0.0) & (dense != 1.0)):
+        raise error("adjacency entries must be 0 or 1")
+    if np.any(dense.diagonal() != 0.0):
+        raise error("adjacency diagonal must be zero")
+    if np.any(dense != dense.T):
+        raise error("adjacency must be symmetric")
+    return dense
+
+
+def _check_values(values, name="values"):
+    """values as the float matrix of a graphon's cells: nonempty, square,
+    finite, symmetric within SYMMETRY_TOL, in [0, 1]."""
+    values = _as_float_array(values, name, 2)
+    if values.shape[0] != values.shape[1]:
+        raise ValidationError("%s must be square, got shape %s" % (name, values.shape))
+    if float(np.abs(values - values.T).max()) > SYMMETRY_TOL:
+        raise ValidationError("%s must be symmetric" % name)
+    if float(values.min()) < 0.0 or float(values.max()) > 1.0:
+        raise ValidationError("%s must lie in [0, 1]" % name)
+    return values
+
+
+def _check_seed(seed, error=ValidationError):
+    """seed as an int in [0, 2**64), the seeds numpy's SeedSequence takes."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise error("seed must fit in an unsigned 64-bit integer, got %d" % seed)
+    return seed
+
+
+# Child seeds, by the first entry of their spawn key:
+#   0  sampling: the graph sizes of sample_population
+#   1  sampling: graph i of sample_population (derive_graph_seed)
+#   2  mixture: the order of estimate_mixture's round-robin sharding
+#   3  mixture: the fit of shard i
+def _derived_seed(seed, tag, index=None):
+    """Child (tag, index) of seed as an int seed or, without an index, the
+    SeedSequence of the tag's one stream; seed is checked with DomainError."""
+    key = (tag,) if index is None else (tag, int(index))
+    child = np.random.SeedSequence(entropy=_check_seed(seed, DomainError), spawn_key=key)
+    return child if index is None else int(child.generate_state(1, np.uint64)[0])
+
+
+def _check_beta(beta, error=ValidationError):
+    """beta finite and at least the smallest normal float, below which cost/beta overflows."""
+    if not (beta >= np.finfo(float).tiny and np.isfinite(beta)):
+        raise error("beta must be finite and at least %.17g" % np.finfo(float).tiny)
+
+
+def _check_alpha(alpha, error=ValidationError):
+    """alpha nonnegative and finite."""
+    if not (alpha >= 0.0 and np.isfinite(alpha)):
+        raise error("alpha must be nonnegative and finite")
 
 
 def _degree_measure(adjacency):
@@ -108,17 +179,11 @@ class StepFunction:
     measure: np.ndarray
 
     def __post_init__(self):
-        values = _as_float_array(self.values, "values", 2)
+        values = _check_values(self.values)
         measure = _as_float_array(self.measure, "measure", 1)
-        if values.shape[0] != values.shape[1]:
-            raise ValidationError("values must be square, got shape %s" % (values.shape,))
         if values.shape[0] != measure.size:
             raise ValidationError(
                 "values and measure disagree on K (%d vs %d)" % (values.shape[0], measure.size))
-        if float(np.abs(values - values.T).max()) > SYMMETRY_TOL:
-            raise ValidationError("values must be symmetric")
-        if float(values.min()) < 0.0 or float(values.max()) > 1.0:
-            raise ValidationError("values must lie in [0, 1]")
         _check_measure(measure)
         if np.any(np.diff(measure) > SYMMETRY_TOL):
             raise ValidationError("measure must be sorted nonincreasing")
@@ -151,21 +216,7 @@ class ObservedGraph:
     measure: np.ndarray
 
     def __post_init__(self, adjacency):
-        dense = _dense(adjacency)
-        if dense.ndim != 2:
-            raise ValidationError("adjacency must be 2-dimensional")
-        if dense.shape[0] != dense.shape[1]:
-            raise ValidationError("adjacency must be square, got shape %s" % (dense.shape,))
-        if dense.shape[0] == 0:
-            raise ValidationError("adjacency must be nonempty")
-        if not np.all(np.isfinite(dense)):
-            raise ValidationError("adjacency contains non-finite entries")
-        if np.any((dense != 0.0) & (dense != 1.0)):
-            raise ValidationError("adjacency entries must be 0 or 1")
-        if np.any(dense.diagonal() != 0.0):
-            raise ValidationError("adjacency diagonal must be zero")
-        if np.any(dense != dense.T):
-            raise ValidationError("adjacency must be symmetric")
+        dense = _check_adjacency(adjacency)
         measure = _as_float_array(self.measure, "measure", 1)
         if measure.size != dense.shape[0]:
             raise ValidationError(
@@ -301,16 +352,11 @@ class SolverConfig:
     polish_iters: int = 0
 
     def __post_init__(self):
-        # below the smallest normal float, cost/beta overflows
-        if not (self.beta >= np.finfo(float).tiny and np.isfinite(self.beta)):
-            raise ValidationError("beta must be finite and at least %.17g"
-                                  % np.finfo(float).tiny)
-        if not (self.alpha >= 0.0 and np.isfinite(self.alpha)):
-            raise ValidationError("alpha must be nonnegative and finite")
+        _check_beta(self.beta)
+        _check_alpha(self.alpha)
         for name in ("outer_iters", "sinkhorn_iters", "restarts"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError("%s must be a positive integer" % name)
         if int(self.polish_iters) < 0:
             raise ValidationError("polish_iters must be nonnegative")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _frozen
+from .core import DomainError, ValidationError, _check_values, _frozen
 
 GRID_FAMILY = "grid"
 
@@ -104,16 +104,7 @@ class GraphonSpec:
         if self.family == GRID_FAMILY:
             if self.grid is None:
                 raise ValidationError("grid graphon requires a matrix")
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
-                raise ValidationError("grid must be a nonempty square matrix")
-            if not np.all(np.isfinite(g)):
-                raise ValidationError("grid contains non-finite entries")
-            if float(np.abs(g - g.T).max()) > 1e-12:
-                raise ValidationError("grid must be symmetric")
-            if float(g.min()) < 0.0 or float(g.max()) > 1.0:
-                raise ValidationError("grid entries must lie in [0, 1]")
-            object.__setattr__(self, "grid", _frozen(g))
+            object.__setattr__(self, "grid", _frozen(_check_values(self.grid, "grid")))
         else:
             if self.family not in _FAMILIES:
                 raise ValidationError(

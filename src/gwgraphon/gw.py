@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (DomainError, NumericError, ObservedGraph, SolverConfig,
-                   StepFunction, TransportPlan, ValidationError, _dense)
+                   StepFunction, TransportPlan, ValidationError, _as_float_array,
+                   _check_beta, _check_measure, _dense)
 
 KERNEL_FLOOR = 1e-300
 # column-marginal residual at which the proximal steps and entropic_ot stop scaling
@@ -47,7 +48,9 @@ class GwResult:
 def _as_space(obj):
     """Dense matrix-plus-measure view of a graph, step function, or checked
     (matrix, measure) pair; a matrix with a toarray() method, such as a
-    scipy sparse matrix, is read through it."""
+    scipy sparse matrix, is read through it. A pair's matrix must be nonempty,
+    square and finite and its measure pass _check_measure at TransportPlan's
+    1e-9, or DomainError is raised."""
     if isinstance(obj, ObservedGraph):
         return _dense(obj), obj.measure
     if isinstance(obj, StepFunction):
@@ -56,19 +59,13 @@ def _as_space(obj):
         matrix, measure = obj
     except Exception as exc:
         raise DomainError("expected ObservedGraph, StepFunction, or (matrix, measure) pair") from exc
-    matrix = _dense(matrix)
-    if matrix.ndim != 2:
-        raise DomainError("matrix must be 2-dimensional")
+    matrix = _as_float_array(_dense(matrix), "matrix", 2, DomainError)
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError("matrix must be square, got shape %s" % (matrix.shape,))
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError("matrix entries must be finite")
-    measure = np.asarray(measure, dtype=float).ravel()
+    measure = _check_measure(measure, tol=1e-9, error=DomainError)
     if measure.size != matrix.shape[0]:
         raise DomainError("measure length %d does not match matrix size %d"
                           % (measure.size, matrix.shape[0]))
-    if not np.all((measure > 0.0) & np.isfinite(measure)):
-        raise DomainError("measure entries must be finite and strictly positive")
     return matrix, measure
 
 
@@ -77,7 +74,8 @@ def gw_cost_offset(a, mu_a, w, mu_w):
 
     Returns the N x K matrix (a ⊙ a)·mu_a·1ᵀ + 1·(mu_wᵀ·(w ⊙ w)); subtracting
     2·a·T·wᵀ from it gives the full cost matrix at plan T. Both sides are
-    checked as in _as_space, and an offset that overflows raises NumericError.
+    checked as in _as_space: each measure must be finite, strictly positive
+    and sum to 1 within 1e-9. An offset that overflows raises NumericError.
     """
     (a, mu_a), (w, mu_w) = _as_space((a, mu_a)), _as_space((w, mu_w))
     with np.errstate(over="ignore"):
@@ -215,7 +213,9 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol):
     residual is within tol is stored and dropped from the scaling, so it
     stops at the same pair as it would alone, and the loop ends once every
     kernel is done. The log column potentials are the logarithm of the
-    final column scaling.
+    final column scaling. Any floating-point fault raises NumericError, as
+    does a non-finite scaling vector at the end: nan inputs propagate
+    without a fault.
     """
     plans = np.empty_like(kernels)
     pots = np.empty((kernels.shape[0], kernels.shape[2]))
@@ -223,25 +223,29 @@ def _sinkhorn(kernels, mu_rows, mu_cols, max_iters, tol):
     mu_rows = np.asarray(mu_rows, dtype=float)
     mu_cols = np.asarray(mu_cols, dtype=float)
     a = mu_rows
-    for pair in range(max(int(max_iters), 1)):
-        ka = (kernels.transpose(0, 2, 1) @ a[:, :, None])[..., 0]
-        if pair and pair % 4 == 0:
-            done = np.abs(b * ka - mu_cols).max(axis=1) <= tol
-            if done.all():
-                break
-            if done.any():
-                plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
-                pots[live[done]] = np.log(b[done])
-                keep = ~done
-                live, kernels = live[keep], kernels[keep]
-                mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
-                a, b, ka = a[keep], b[keep], ka[keep]
-        b = mu_cols / ka
-        a = mu_rows / (kernels @ b[:, :, None])[..., 0]
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
-    plans[live] = (a[:, :, None] * kernels) * b[:, None, :]
-    pots[live] = np.log(b)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for pair in range(max(int(max_iters), 1)):
+                ka = (kernels.transpose(0, 2, 1) @ a[:, :, None])[..., 0]
+                if pair and pair % 4 == 0:
+                    done = np.abs(b * ka - mu_cols).max(axis=1) <= tol
+                    if done.all():
+                        break
+                    if done.any():
+                        plans[live[done]] = (a[done, :, None] * kernels[done]) * b[done, None, :]
+                        pots[live[done]] = np.log(b[done])
+                        keep = ~done
+                        live, kernels = live[keep], kernels[keep]
+                        mu_rows, mu_cols = mu_rows[keep], mu_cols[keep]
+                        a, b, ka = a[keep], b[keep], ka[keep]
+                b = mu_cols / ka
+                a = mu_rows / (kernels @ b[:, :, None])[..., 0]
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                raise NumericError("sinkhorn scalings diverged (non-finite scaling vector)")
+            plans[live] = (a[:, :, None] * kernels) * b[:, None, :]
+            pots[live] = np.log(b)
+    except FloatingPointError as exc:
+        raise NumericError("sinkhorn scaling failed: %s" % exc) from exc
     return plans, pots
 
 
@@ -254,28 +258,20 @@ def _round_feasible(plans, mu_rows, mu_cols):
     restored by a nonnegative rank-one correction. Each output has exact
     marginals up to float precision and differs from its input by at most
     the original residual in L1, so a converged plan passes through intact.
+    Any floating-point fault, such as an overflowing sum, is a NumericError.
     """
-    plans = plans * np.minimum(1.0, mu_rows / plans.sum(axis=2))[:, :, None]
-    plans *= np.minimum(1.0, mu_cols / plans.sum(axis=1))[:, None, :]
-    r_err = np.maximum(mu_rows - plans.sum(axis=2), 0.0)
-    c_err = np.maximum(mu_cols - plans.sum(axis=1), 0.0)
-    total = r_err.sum(axis=1)
-    total[total == 0.0] = 1.0  # nothing missing: the correction is 0
-    plans += (r_err[:, :, None] * c_err[:, None, :]) / total[:, None, None]
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            plans = plans * np.minimum(1.0, mu_rows / plans.sum(axis=2))[:, :, None]
+            plans *= np.minimum(1.0, mu_cols / plans.sum(axis=1))[:, None, :]
+            r_err = np.maximum(mu_rows - plans.sum(axis=2), 0.0)
+            c_err = np.maximum(mu_cols - plans.sum(axis=1), 0.0)
+            total = r_err.sum(axis=1)
+            total[total == 0.0] = 1.0  # nothing missing: the correction is 0
+            plans += (r_err[:, :, None] * c_err[:, None, :]) / total[:, None, None]
+    except FloatingPointError as exc:
+        raise NumericError("rounding onto the marginals failed: %s" % exc) from exc
     return plans
-
-
-def _marginals(shape, mu_row, mu_col):
-    """mu_row and mu_col flattened to float vectors, checked to be strictly
-    positive and to match the (rows, columns) shape of a plan."""
-    mu_row = np.asarray(mu_row, dtype=float).ravel()
-    mu_col = np.asarray(mu_col, dtype=float).ravel()
-    if shape != (mu_row.size, mu_col.size):
-        raise DomainError("shape %s does not match marginal lengths (%d, %d)"
-                          % (shape, mu_row.size, mu_col.size))
-    if np.any(mu_row <= 0.0) or np.any(mu_col <= 0.0):
-        raise DomainError("marginals must be strictly positive")
-    return mu_row, mu_col
 
 
 def _northwest_corner(mu_row, mu_col):
@@ -550,23 +546,24 @@ def _quadratic_term(deltas, a, b):
 def entropic_ot(cost, mu_row, mu_col, beta) -> TransportPlan:
     """Entropically regularized optimal transport: exp(-cost/beta) scaled onto the marginals.
 
-    Scales until the column residual drops below SCALING_TOL, then rounds
-    the plan exactly feasible; raises NumericError if cost/beta passes the
-    largest float or the scalings diverge.
+    cost must be a nonempty finite N x K matrix, mu_row and mu_col measures
+    of lengths N and K that are finite, strictly positive and sum to 1
+    within 1e-9, and beta as in SolverConfig; else DomainError is raised
+    before any scaling. Scales until the column residual drops below
+    SCALING_TOL, then rounds the plan exactly feasible; raises NumericError
+    if cost/beta passes the largest float or the scalings diverge.
     The scaling turns to Newton steps after SINKHORN_WARMUP Sinkhorn
     pairs; a Newton fallback goes on with Sinkhorn, up to 10000 pairs in
     all.
     """
-    # SolverConfig's domain: below the smallest normal float, cost/beta overflows
     beta = float(beta)
-    if not (beta >= np.finfo(float).tiny and np.isfinite(beta)):
-        raise DomainError("beta must be finite and at least %.17g" % np.finfo(float).tiny)
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.size == 0:
-        raise DomainError("cost must be a nonempty 2-dimensional matrix")
-    if not np.all(np.isfinite(cost)):
-        raise DomainError("cost must be finite")
-    mu_row, mu_col = _marginals(cost.shape, mu_row, mu_col)
+    _check_beta(beta, DomainError)
+    cost = _as_float_array(cost, "cost", 2, DomainError)
+    mu_row = _check_measure(mu_row, "mu_row", 1e-9, DomainError)
+    mu_col = _check_measure(mu_col, "mu_col", 1e-9, DomainError)
+    if cost.shape != (mu_row.size, mu_col.size):
+        raise DomainError("cost shape %s does not match marginal lengths (%d, %d)"
+                          % (cost.shape, mu_row.size, mu_col.size))
     logk = _log_kernel(cost.copy(), 1.0 / beta)
     logk -= logk.max(axis=1, keepdims=True)
     kernel = np.exp(logk)

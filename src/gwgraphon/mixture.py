@@ -15,7 +15,8 @@ from .barycenter import (
     estimate_gwb,
     select_partition_count,
 )
-from .core import DomainError, ObservedGraph, SolverConfig, StepFunction, TransportPlan
+from .core import (DomainError, ObservedGraph, SolverConfig, StepFunction, TransportPlan,
+                   _derived_seed)
 from .gw import entropic_ot, proximal_gw_batch
 
 
@@ -54,14 +55,8 @@ class MixtureModel:
         return len(self.components)
 
 
-def _derived_seed(seed: int, tag: int, index: int) -> int:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
-                     cfg: Optional[SolverConfig] = None, rounds: int = 5,
-                     track_objective: bool = False) -> MixtureModel:
+                     cfg: Optional[SolverConfig] = None, rounds: int = 5) -> MixtureModel:
     """Fit c component step functions and a soft assignment to a graph population.
 
     Components start as the barycenters of a seeded round-robin sharding
@@ -76,13 +71,13 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
     transport plan, at entropic weight cfg.beta and between uniform
     marginals over components and graphs, of those solves' distances. The
     same solves give the plans of the next round's update, so a fit makes
-    (rounds + 1)·c·M transport solves in rounds + 1 batches.
+    (rounds + 1)·c·M transport solves in rounds + 1 batches. objective_trace
+    holds each round's objective <assignment, distances>; with c = 1 it is ().
 
     :param graphs: observed population, at least c graphs.
     :param c: number of components, >= 1.
     :param cfg: solver configuration; defaults apply when omitted.
     :param rounds: alternation rounds, >= 1.
-    :param track_objective: record the transport objective after each round.
     :return: fitted MixtureModel.
     """
     cfg = cfg if cfg is not None else SolverConfig()
@@ -103,17 +98,10 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         component = estimate_gwb(graphs, cfg)
         coupling = np.full((1, m), 1.0 / m)
         plan = TransportPlan(coupling, np.array([1.0]), np.full(m, 1.0 / m))
-        trace = None
-        if track_objective:
-            dists = np.array([[res.distance_sq
-                               for res in proximal_gw_batch(graphs, [component] * m, cfg)]])
-            trace = (float(np.sum(coupling * dists)),)
-        return MixtureModel((component,), plan, trace)
+        return MixtureModel((component,), plan, ())
 
     k = select_partition_count([g.node_count for g in graphs])
-    shuffle = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
-    order = shuffle.permutation(m)
+    order = np.random.default_rng(_derived_seed(cfg.seed, 2)).permutation(m)
     shards = [([graphs[gi] for gi in order[ci::c]], _derived_seed(cfg.seed, 3, ci))
               for ci in range(c)]
     comps = [(seeded.values, seeded.measure)
@@ -136,12 +124,11 @@ def estimate_mixture(graphs: Sequence[ObservedGraph], c: int,
         dists = np.array([[res.distance_sq for res in row] for row in solves])
         p = _coupling(entropic_ot(dists, np.full(c, 1.0 / c), np.full(m, 1.0 / m),
                                   cfg.beta))
-        if track_objective:
-            trace.append(float(np.sum(p * dists)))
+        trace.append(float(np.sum(p * dists)))
 
     components = tuple(StepFunction(values, mu) for values, mu in comps)
     plan = TransportPlan(p, np.full(c, 1.0 / c), np.full(m, 1.0 / m))
-    return MixtureModel(components, plan, tuple(trace) if track_objective else None)
+    return MixtureModel(components, plan, tuple(trace))
 
 
 def assign_clusters(model: MixtureModel) -> np.ndarray:

@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .barycenter import _alternate, _average_pushforward, barycenter_update
-from .core import DomainError, NumericError, ObservedGraph, SolverConfig, StepFunction
+from .core import (DomainError, NumericError, ObservedGraph, SolverConfig, StepFunction,
+                   _check_alpha)
 
 
 class SmoothedSolveMode(enum.Enum):
@@ -126,8 +127,7 @@ def smoothed_barycenter_update(graphs, plans, mu_w, alpha,
     """
     mode = _as_mode(mode)
     alpha = float(alpha)
-    if not (alpha >= 0.0 and np.isfinite(alpha)):
-        raise DomainError("alpha must be nonnegative and finite")
+    _check_alpha(alpha, DomainError)
     if alpha == 0.0:
         return barycenter_update(graphs, plans, mu_w)
     mu_w, b = _average_pushforward(graphs, plans, mu_w)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -431,6 +432,20 @@ def test_overflowing_log_kernel_is_a_numeric_error():
         entropic_ot(np.full((3, 3), 1e10), mu, mu, beta=1e-300)
 
 
+def test_overflowing_scaling_is_a_numeric_error():
+    """Scalings that overflow in a stack, and plans whose sums overflow in
+    rounding, raise NumericError at the fault, with no RuntimeWarning."""
+    mu_rows = np.array([[1e150, 1e150], [0.5, 0.5]])
+    mu_cols = np.array([[1e-150, 1e-150], [0.5, 0.5]])
+    half = np.full((1, 2), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            _scale(np.ones((2, 2, 2)), mu_rows, mu_cols, 500, SCALING_TOL)
+        with pytest.raises(NumericError):
+            gw._round_feasible(np.full((1, 2, 2), 1e308), half, half)
+
+
 def test_entropic_ot_constant_cost_gives_product(rng):
     mu_row = random_measure(rng, 5)
     mu_col = random_measure(rng, 3)
@@ -473,6 +488,50 @@ def test_entropic_ot_validation(rng):
         entropic_ot(rng.random((2, 3)), mu, mu, beta=0.1)
     with pytest.raises(DomainError):
         entropic_ot(cost, np.array([0.5, 0.5, 0.0]), mu, beta=0.1)
+
+
+@st.composite
+def _drawn_measure(draw, n):
+    """A length-n vector and whether it is a probability measure: a valid
+    measure, one off in sum by 1e-8 to 0.5, or one with an entry 0,
+    negative, nan or inf."""
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    mu = raw / raw.sum()
+    kind = draw(st.sampled_from(("valid", "sum", "entry")))
+    if kind == "sum":
+        mu = mu * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-8, 0.5)))
+    elif kind == "entry":
+        mu[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0.0, -0.25, np.nan, np.inf)))
+    return mu, kind == "valid"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4))
+def test_every_entry_point_takes_the_same_measures(data, n, m):
+    """proximal_gw on a pair, gw_cost_offset, the exact oracle and both
+    marginals of entropic_ot accept exactly the probability measures, on
+    either side; every other draw is a DomainError before any scaling and
+    without a RuntimeWarning."""
+    mu, valid = data.draw(_drawn_measure(n))
+    rng = np.random.default_rng(n * 5 + m)
+    a, b = random_space(rng, n)[0], random_space(rng, m)[0]
+    nu = np.full(m, 1.0 / m)
+    cost = rng.random((n, m))
+    calls = [lambda: proximal_gw((a, mu), (b, nu)), lambda: proximal_gw((b, nu), (a, mu)),
+             lambda: gw_cost_offset(a, mu, b, nu), lambda: gw_cost_offset(b, nu, a, mu),
+             lambda: gw_distance_exact_small(a, b, mu, nu),
+             lambda: gw_distance_exact_small(b, a, nu, mu),
+             lambda: entropic_ot(cost, mu, nu, 0.1), lambda: entropic_ot(cost.T, nu, mu, 0.1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if valid:
+            for call in calls:
+                call()
+            return
+        with mock.patch("gwgraphon.gw._scale", side_effect=AssertionError("scaled")):
+            for call in calls:
+                with pytest.raises(DomainError):
+                    call()
 
 
 def _truth(family, k):

@@ -76,14 +76,14 @@ def test_fit_is_deterministic():
 
 
 def test_objective_trace_length():
+    """Every fit records one objective per round; a single component has
+    no round and an empty trace."""
     graphs, _ = _two_family_population(2, seed=40)
     cfg = SolverConfig(outer_iters=1, sinkhorn_iters=2)
-    model = estimate_mixture(graphs, 2, cfg, rounds=3, track_objective=True)
-    assert model.objective_trace is not None
+    model = estimate_mixture(graphs, 2, cfg, rounds=3)
     assert len(model.objective_trace) == 3
     assert all(np.isfinite(v) for v in model.objective_trace)
-    untracked = estimate_mixture(graphs, 2, cfg, rounds=1)
-    assert untracked.objective_trace is None
+    assert estimate_mixture(graphs, 1, cfg).objective_trace == ()
 
 
 def test_each_pair_is_solved_once_per_round(monkeypatch):

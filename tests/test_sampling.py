@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gwgraphon.core import DomainError
+from gwgraphon.core import DomainError, ObservedGraph, ValidationError
 from gwgraphon.graphons import GraphonSpec
 from gwgraphon.sampling import (derive_graph_seed, estimate_node_measure,
                                 sample_graph, sample_population)
@@ -78,6 +82,41 @@ def test_node_measure_validation():
         estimate_node_measure(np.array([[0, 2], [2, 0]], dtype=float))
     with pytest.raises(DomainError):
         estimate_node_measure(np.array([[0, 1], [0, 0]], dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 5), data=st.data())
+def test_node_measure_takes_the_adjacencies_a_graph_takes(n, data):
+    """estimate_node_measure accepts exactly the adjacencies ObservedGraph
+    accepts, the simple undirected graphs, and rejects the rest, self-loops
+    included, without a RuntimeWarning."""
+    cells = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(cells, dtype=bool).reshape(n, n), k=1)
+    dense = (upper | upper.T).astype(float)
+    fault = data.draw(st.sampled_from((None, "self_loop", "asymmetric", 2.0, 0.5, np.nan, np.inf)))
+    if fault is not None and n:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if fault == "self_loop":
+            dense[i, i] = 1.0
+        elif fault == "asymmetric" and i != j:
+            dense[i, j] = 1.0 - dense[i, j]
+        elif fault != "asymmetric":
+            dense[i, j] = dense[j, i] = fault
+    valid = bool(n and np.all((dense == 0.0) | (dense == 1.0)) and not dense.diagonal().any()
+                 and np.array_equal(dense, dense.T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ObservedGraph(dense, np.full(n, 1.0 / max(n, 1)))
+            graph_takes = True
+        except ValidationError:
+            graph_takes = False
+        try:
+            estimate_node_measure(dense)
+            measure_takes = True
+        except DomainError:
+            measure_takes = False
+    assert graph_takes == measure_takes == valid
 
 
 def test_derive_graph_seed_is_stable():
