@@ -257,7 +257,7 @@ class ObservedGraph:
     @classmethod
     def from_dense(cls, dense, measure=None):
         """Build from a dense 0/1 matrix; measure defaults to floored degrees."""
-        dense = np.asarray(dense, dtype=float)
+        dense = _check_adjacency(dense)
         if measure is None:
             measure = _degree_measure(dense)
         return cls(dense, measure)
@@ -280,6 +280,7 @@ class ObservedGraph:
         dense = np.zeros((max(n, 0), max(n, 0)))
         dense[edges[:, 0], edges[:, 1]] = 1.0
         dense[edges[:, 1], edges[:, 0]] = 1.0
+        _check_adjacency(dense)
         if measure is None:
             measure = _degree_measure(dense)
         return cls(dense, measure)

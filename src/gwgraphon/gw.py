@@ -378,10 +378,12 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
     need, and each (space, restart) kernel leaves the stack at the check
     where it would stop scaling alone. Every result is therefore bit-identical
     to proximal_gw of that space and target alone, whatever else is in the
-    batch. Each proximal step builds the costs of a whole class in two
-    batched products (_costs), and the kernels and their rounding in one
-    pass over its stack. Polishing and the choice of the best candidate run
-    per space.
+    batch. The steps run in _proximal_steps, from the class's stack of
+    anchors; gw_error's fine stage runs the same loop from its one anchor.
+    Each proximal step builds the costs of a whole class in two batched
+    products (_costs), and the kernels and their rounding in one pass over
+    its stack. Polishing and the choice of the best candidate run per
+    space.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -396,14 +398,13 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
         raise DomainError("got %d spaces, %d targets and %d seeds"
                           % (len(sides), len(targets), len(seeds)))
     cols = [_as_space(target) for target in targets]
-    inv_beta = 1.0 / cfg.beta
     starts = [_restart_anchors(mu_a, mu_w, cfg.restarts, seed)
               for (_, mu_a), (_, mu_w), seed in zip(sides, cols, seeds)]
     by_shape = {}
     for g, (anchors, _) in enumerate(starts):
         by_shape.setdefault((len(anchors),) + anchors[0].shape, []).append(g)
     results = [None] * len(sides)
-    for (count, n, k), members in by_shape.items():
+    for members in by_shape.values():
         # a class of one views its matrix, so a dense reference is not copied
         if len(members) == 1:
             adj = _dense(sides[members[0]][0])[None]
@@ -411,27 +412,44 @@ def proximal_gw_batch(spaces: Sequence[SpaceLike], targets: Sequence[SpaceLike],
             adj = np.stack([_dense(sides[g][0]) for g in members])
         w_t = np.ascontiguousarray(np.stack([cols[g][0] for g in members]).transpose(0, 2, 1))
         offset = np.stack([gw_cost_offset(a, sides[g][1], *cols[g]) for a, g in zip(adj, members)])
-        # one (members, S, N, K) stack of plans; each kernel carries its log
-        # column potentials from one proximal step to the next, starting at
-        # 0, so the first step is cold
-        stack = np.stack([starts[g][0] for g in members])
-        mu_rows = np.repeat(np.stack([sides[g][1] for g in members]), count, axis=0)
-        mu_cols = np.repeat(np.stack([cols[g][1] for g in members]), count, axis=0)
-        pots = np.zeros((len(members), count, k))
-        for _ in range(cfg.sinkhorn_iters):
-            kernels = _log_kernel(_costs(adj, w_t, offset, stack), inv_beta)
-            kernels += pots[:, :, None, :]
-            kernels -= kernels.max(axis=3, keepdims=True)
-            np.exp(kernels, out=kernels)
-            kernels *= stack
-            np.maximum(kernels, KERNEL_FLOOR, out=kernels)
-            batch, steps = _scale(kernels.reshape(-1, n, k), mu_rows, mu_cols, 500, SCALING_TOL)
-            pots += steps.reshape(pots.shape)
-            stack = _round_feasible(batch, mu_rows, mu_cols).reshape(stack.shape)
+        stack = _proximal_steps(adj, w_t, offset, np.stack([starts[g][0] for g in members]),
+                                np.stack([sides[g][1] for g in members]),
+                                np.stack([cols[g][1] for g in members]),
+                                cfg.sinkhorn_iters, cfg.beta)
         for i, g in enumerate(members):
             results[g] = _best_candidate(adj[i], sides[g][1], cols[g][0], cols[g][1], w_t[i],
                                          offset[i], stack[i], starts[g][1], cfg.polish_iters)
     return results
+
+
+def _proximal_steps(adj, w_t, offset, stack, mu_a, mu_w, steps, beta):
+    """The proximal loop of one size class, from its anchor stack.
+
+    adj, w_t and offset are the class's stacked A, Wᵀ and cost offsets as
+    _costs takes them, stack (m, S, N, K) holds each member's S anchors,
+    and mu_a (m, N) and mu_w (m, K) the members' marginals. Each of the
+    steps builds the kernels exp(-(cost)/beta) ⊙ T of the whole stack,
+    scales them onto the marginals (_scale, up to 500 pairs) and rounds
+    them exactly feasible. Each kernel carries its log column potentials
+    from one step to the next, starting at 0, so the first step is cold.
+    Returns the final (m, S, N, K) stack.
+    """
+    m, count, n, k = stack.shape
+    inv_beta = 1.0 / beta
+    mu_rows = np.repeat(mu_a, count, axis=0)
+    mu_cols = np.repeat(mu_w, count, axis=0)
+    pots = np.zeros((m, count, k))
+    for _ in range(steps):
+        kernels = _log_kernel(_costs(adj, w_t, offset, stack), inv_beta)
+        kernels += pots[:, :, None, :]
+        kernels -= kernels.max(axis=3, keepdims=True)
+        np.exp(kernels, out=kernels)
+        kernels *= stack
+        np.maximum(kernels, KERNEL_FLOOR, out=kernels)
+        batch, shifts = _scale(kernels.reshape(-1, n, k), mu_rows, mu_cols, 500, SCALING_TOL)
+        pots += shifts.reshape(pots.shape)
+        stack = _round_feasible(batch, mu_rows, mu_cols).reshape(stack.shape)
+    return stack
 
 
 def _log_kernel(costs, inv_beta):

@@ -84,6 +84,18 @@ def test_observed_graph_rejects_asymmetry_and_weights():
         ObservedGraph.from_dense(np.array([[0, 2], [2, 0]], dtype=float))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.inf, np.nan, -np.inf])
+def test_graph_builders_check_the_adjacency_before_the_degree_measure(entry):
+    """from_dense checks the matrix before it takes the degree measure, so
+    a non-finite entry is a ValidationError and no RuntimeWarning from
+    dividing inf by inf; from_edges checks its matrix first as well."""
+    with pytest.raises(ValidationError):
+        ObservedGraph.from_dense([[0.0, entry], [entry, 0.0]])
+    with pytest.raises(ValidationError):
+        ObservedGraph.from_edges(0, [])
+
+
 def test_observed_graph_from_edges_collapses_duplicates():
     g = ObservedGraph.from_edges(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
     assert g.edge_count == 2
